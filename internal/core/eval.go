@@ -45,8 +45,8 @@ func (e *Evaluator) context() context.Context {
 // Instance returns the underlying AnS instance store.
 func (e *Evaluator) Instance() *store.Store { return e.inst }
 
-// resolveNumeric interprets a term ID as a number for sum/avg/min/max.
-func (e *Evaluator) resolveNumeric(id dict.ID) (float64, bool) {
+// ResolveNumeric interprets a term ID as a number for sum/avg/min/max.
+func (e *Evaluator) ResolveNumeric(id dict.ID) (float64, bool) {
 	t, ok := e.inst.Dict().Decode(id)
 	if !ok {
 		return 0, false
@@ -54,10 +54,10 @@ func (e *Evaluator) resolveNumeric(id dict.ID) (float64, bool) {
 	return t.AsFloat()
 }
 
-// sigmaFilter compiles Σ into a row predicate over a relation whose
+// SigmaFilter compiles Σ into a row predicate over a relation whose
 // dimension columns hold term IDs. Values absent from the dictionary can
 // never match, so they are dropped at compile time.
-func (e *Evaluator) sigmaFilter(rel *algebra.Relation, dims []string, sigma Sigma) (func(algebra.Row) bool, error) {
+func (e *Evaluator) SigmaFilter(rel *algebra.Relation, dims []string, sigma Sigma) (func(algebra.Row) bool, error) {
 	if len(sigma) == 0 {
 		return func(algebra.Row) bool { return true }, nil
 	}
@@ -102,7 +102,7 @@ func (e *Evaluator) EvalClassifier(q *Query) (*algebra.Relation, error) {
 		return nil, err
 	}
 	rel := resultToRelation(res)
-	pred, err := e.sigmaFilter(rel, q.Dims(), q.Sigma)
+	pred, err := e.SigmaFilter(rel, q.Dims(), q.Sigma)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (e *Evaluator) AnswerFromPres(q *Query, pres *algebra.Relation) (*algebra.R
 	// π_{x,d1..dn,v} has bag semantics: dropping the key keeps duplicate
 	// measure values as duplicate rows, exactly what γ must see.
 	proj := pres.Project(append([]string{q.Root()}, append(q.Dims(), v)...)...)
-	cube := proj.GroupAggregate(q.Dims(), v, v, q.Agg, e.resolveNumeric)
+	cube := proj.GroupAggregate(q.Dims(), v, v, q.Agg, e.ResolveNumeric)
 	obs.CostFromContext(e.context()).AddBytes(cube.EstimateBytes())
 	return cube, nil
 }

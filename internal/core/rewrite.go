@@ -27,7 +27,7 @@ func (e *Evaluator) DiceRewrite(diced *Query, ansQ *algebra.Relation) (*algebra.
 			return nil, fmt.Errorf("core: ans schema %v does not match dimensions %v", ansQ.Cols, dims)
 		}
 	}
-	pred, err := e.sigmaFilter(ansQ, dims, diced.Sigma)
+	pred, err := e.SigmaFilter(ansQ, dims, diced.Sigma)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func (e *Evaluator) DrillOutRewrite(orig *Query, pres *algebra.Relation, drop ..
 	cols = append(cols, KeyCol, v)
 	t := pres.Project(cols...)
 	t = t.Dedup()
-	return t.GroupAggregate(remaining, v, v, orig.Agg, e.resolveNumeric), nil
+	return t.GroupAggregate(remaining, v, v, orig.Agg, e.ResolveNumeric), nil
 }
 
 // DrillInRewrite answers Q_DRILL-IN from pres(Q) plus the AnS instance —
@@ -101,7 +101,7 @@ func (e *Evaluator) DrillInRewrite(orig *Query, pres *algebra.Relation, newDim s
 	}
 	groupCols := append(append([]string(nil), orig.Dims()...), newDim)
 	v := orig.MeasureVar()
-	return joined.GroupAggregate(groupCols, v, v, orig.Agg, e.resolveNumeric), nil
+	return joined.GroupAggregate(groupCols, v, v, orig.Agg, e.ResolveNumeric), nil
 }
 
 // NaiveDrillOutFromAns is the incorrect baseline discussed in Section 3.2

@@ -18,6 +18,10 @@
 // new measure *tuples* are identified by new m̄ *embeddings*, each of
 // which receives a fresh key continuing the newk() sequence.
 //
+// Δpres probes root-keyed indexes of c and m_k with the delta's roots,
+// and ans(Q)'s per-cell accumulators (cube.go) are fed Δpres alone, so a
+// delta costs time proportional to the delta, not to the view.
+//
 // A materialization can absorb insertions through two doors: Insert
 // writes a triple batch to the instance itself and applies it, while
 // Sync consumes the store's delta feed (store.DeltaSince) — the door the
@@ -35,7 +39,9 @@ package incr
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rdfcube/internal/algebra"
 	"rdfcube/internal/bgp"
@@ -54,30 +60,36 @@ type MaintainedPres struct {
 	ev   *core.Evaluator
 	inst *store.Store
 
-	// c is the current classifier result (set semantics, Σ applied);
-	// cKeys indexes its rows.
-	c     *algebra.Relation
-	cKeys map[string]struct{}
-	// mbarKeys indexes the current m̄ embeddings (all measure body
-	// variables); mk is the keyed measure m_k.
+	// c is the current classifier result (root, dims…; set semantics, Σ
+	// applied) and mk the keyed measure m_k (key, root, v). cByRoot and
+	// mkByRoot map a root ID to its row positions in each.
+	c, mk             *algebra.Relation
+	cByRoot, mkByRoot map[dict.ID][]int32
+	// mbarKeys indexes the current m̄ embeddings.
 	mbarKeys map[string]struct{}
 	mbarQ    *sparql.Query
-	mk       *algebra.Relation
 	nextKey  uint64
 
-	// pres is the current materialization. Each maintenance application
-	// swaps in a fresh *Relation header (rows appended copy-on-write), so
-	// a caller that captured Pres() before the application can keep
-	// reading its snapshot concurrently with the swap.
+	// c, mk and pres grow by swapping in a fresh *Relation header (rows
+	// appended copy-on-write), so a caller that captured Pres() — or a
+	// State — before an application keeps reading its snapshot
+	// concurrently with the swap.
 	pres *algebra.Relation
+	// ans is ans(Q) as per-cell accumulators; nil until the first Answer
+	// builds it from pres.
+	ans *cube
 
 	// ver is the instance version the materialization reflects; Sync
-	// applies store.DeltaSince(ver.Seq) to catch up. dirty marks a
-	// partially-applied delta (apply failed midway): the keyed dedup
-	// makes replay converge only for rows that never reached pres, so
-	// the next Sync repairs via a full Refresh instead.
-	ver   store.Version
-	dirty bool
+	// applies store.DeltaSince(ver.Seq) to catch up.
+	ver  store.Version
+	last ApplyStats
+}
+
+// ApplyStats is the work of the last Sync or Insert: the feed triples
+// it read, the pres(Q) rows it added, and the ans(Q) cells it fed — or,
+// when the Answer after it built the accumulators, every cell.
+type ApplyStats struct {
+	DeltaTriples, PresRowsAdded, CellsTouched int
 }
 
 // New fully evaluates q over the evaluator's instance and returns a
@@ -98,11 +110,10 @@ func NewCtx(ctx context.Context, ev *core.Evaluator, q *core.Query) (*Maintained
 		q:        q.Clone(),
 		ev:       ev,
 		inst:     ev.Instance(),
-		cKeys:    map[string]struct{}{},
 		mbarKeys: map[string]struct{}{},
+		mbarQ:    mbarQuery(q),
 		ver:      ev.Instance().Version(),
 	}
-	mp.mbarQ = mbarQuery(q)
 
 	cCtx, cSpan := obs.StartSpan(ctx, "incr.classifier")
 	c, err := ev.WithContext(cCtx).EvalClassifier(q)
@@ -111,37 +122,30 @@ func NewCtx(ctx context.Context, ev *core.Evaluator, q *core.Query) (*Maintained
 		return nil, err
 	}
 	mp.c = c
-	for _, row := range c.Rows {
-		mp.cKeys[rowKey(row)] = struct{}{}
-	}
 
 	// Evaluate m̄ once; each embedding becomes one keyed measure tuple.
 	mCtx, mSpan := obs.StartSpan(ctx, "incr.measure")
-	res, err := bgp.EvalCtx(mCtx, mp.inst, mp.mbarQ, bgp.Options{Distinct: true, KeepAllVars: true})
+	res, err := bgp.EvalCtx(mCtx, mp.inst, mp.mbarQ, bgp.Options{Distinct: true})
 	mSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	root, v := q.Measure.Head[0], q.Measure.Head[1]
-	rootCol, vCol := res.Column(root), res.Column(v)
-	if rootCol < 0 || vCol < 0 {
-		return nil, fmt.Errorf("incr: measure head variables missing from m̄ result")
-	}
-	mp.mk = algebra.NewRelation(core.KeyCol, root, v)
+	mp.mk = algebra.NewRelation(core.KeyCol, q.Measure.Head[0], q.Measure.Head[1])
+	vCol := mp.vCol()
 	for _, row := range res.Rows {
 		mp.mbarKeys[idKey(row)] = struct{}{}
 		mp.nextKey++
-		mp.mk.Append(algebra.Row{
-			algebra.KeyV(mp.nextKey),
-			algebra.TermV(row[rootCol]),
-			algebra.TermV(row[vCol]),
-		})
+		mp.mk.Append(algebra.Row{algebra.KeyV(mp.nextKey), algebra.TermV(row[0]), algebra.TermV(row[vCol])})
 	}
-	return mp, mp.rebuildPres()
+	mp.index()
+	cols := append(append([]string{q.Root()}, q.Dims()...), core.KeyCol, q.MeasureVar())
+	mp.pres = &algebra.Relation{Cols: cols, Rows: mp.joinDelta(0, mp.mk.Len())}
+	return mp, nil
 }
 
 // mbarQuery returns m̄: the measure body with every body variable
-// distinguished (Definition 3), root first.
+// distinguished (Definition 3), root first. Its head is also the column
+// order of m̄ rows and of their dedup keys.
 func mbarQuery(q *core.Query) *sparql.Query {
 	mbar := q.Measure.Clone()
 	mbar.Head = mbar.Vars()
@@ -155,17 +159,45 @@ func mbarQuery(q *core.Query) *sparql.Query {
 	return mbar
 }
 
-// rebuildPres recomputes pres from the maintained c and mk.
-func (mp *MaintainedPres) rebuildPres() error {
-	root := mp.q.Root()
-	joined, err := mp.c.Join(mp.mk, []string{root}, []string{root})
-	if err != nil {
-		return err
+// vCol is the measure variable's column in m̄ rows.
+func (mp *MaintainedPres) vCol() int { return slices.Index(mp.mbarQ.Head, mp.q.Measure.Head[1]) }
+
+// index builds the root indexes of c and m_k.
+func (mp *MaintainedPres) index() {
+	mp.cByRoot = make(map[dict.ID][]int32, mp.c.Len())
+	for i, row := range mp.c.Rows {
+		mp.cByRoot[row[0].ID] = append(mp.cByRoot[row[0].ID], int32(i))
 	}
-	cols := append([]string{root}, mp.q.Dims()...)
-	cols = append(cols, core.KeyCol, mp.q.MeasureVar())
-	mp.pres = joined.Project(cols...)
-	return nil
+	mp.mkByRoot = make(map[dict.ID][]int32, mp.mk.Len())
+	for i, row := range mp.mk.Rows {
+		mp.mkByRoot[row[1].ID] = append(mp.mkByRoot[row[1].ID], int32(i))
+	}
+}
+
+// joinDelta returns the pres(Q) rows c[cFrom:] ⋈_x m_k ∪ c[:cFrom] ⋈_x
+// m_k[mkFrom:] — Δpres when the rows from cFrom and mkFrom on are the
+// delta's, all of pres(Q) for (0, len(m_k)). Only the roots of those
+// rows are probed.
+func (mp *MaintainedPres) joinDelta(cFrom, mkFrom int) []algebra.Row {
+	var out []algebra.Row
+	emit := func(c, m algebra.Row) {
+		row := make(algebra.Row, 0, len(c)+2)
+		out = append(out, append(append(row, c...), m[0], m[2]))
+	}
+	for _, c := range mp.c.Rows[cFrom:] {
+		for _, p := range mp.mkByRoot[c[0].ID] {
+			emit(c, mp.mk.Rows[p])
+		}
+	}
+	for _, m := range mp.mk.Rows[mkFrom:] {
+		for _, p := range mp.cByRoot[m[1].ID] {
+			if int(p) >= cFrom {
+				break // positions ascend; the rest joined in the first loop
+			}
+			emit(mp.c.Rows[p], m)
+		}
+	}
+	return out
 }
 
 // Pres returns the current materialized pres(Q). The caller must not
@@ -177,9 +209,20 @@ func (mp *MaintainedPres) Pres() *algebra.Relation { return mp.pres }
 // Version returns the instance version the materialization reflects.
 func (mp *MaintainedPres) Version() store.Version { return mp.ver }
 
-// Answer aggregates the maintained pres(Q) into ans(Q) (Equation 3).
+// LastApply reports the work of the last Sync or Insert.
+func (mp *MaintainedPres) LastApply() ApplyStats { return mp.last }
+
+// Answer returns ans(Q) (Equation 3) over the maintained pres(Q). The
+// first call after New, FromState or Refresh aggregates pres(Q) once into
+// per-cell accumulators; from then on every application feeds them its
+// Δpres rows and publishes a fresh relation, so the result — like Pres —
+// is a stable snapshot the caller must not mutate.
 func (mp *MaintainedPres) Answer() (*algebra.Relation, error) {
-	return mp.ev.AnswerFromPres(mp.q, mp.pres)
+	if mp.ans == nil {
+		mp.ans = newCube(mp.q, mp.pres, mp.ev.ResolveNumeric)
+		mp.last.CellsTouched = len(mp.ans.cells)
+	}
+	return mp.ans.rel, nil
 }
 
 // Query returns the maintained query.
@@ -211,15 +254,12 @@ func (mp *MaintainedPres) Insert(triples []rdf.Triple) (newFacts, newMeasures in
 		mp.ver = mp.inst.Version()
 		return 0, 0, nil
 	}
-	newFacts, newMeasures, err = mp.apply(delta)
-	if err != nil {
-		// Do not fast-forward: the store has the triples but the
-		// materialization does not. The dirty mark set by apply makes
-		// the next Sync repair via Refresh.
-		return newFacts, newMeasures, err
+	// On error do not fast-forward: the store has the triples but the
+	// materialization does not; the next Sync replays them.
+	if newFacts, newMeasures, err = mp.apply(delta); err == nil {
+		mp.ver = mp.inst.Version()
 	}
-	mp.ver = mp.inst.Version()
-	return newFacts, newMeasures, nil
+	return newFacts, newMeasures, err
 }
 
 // Sync consumes the instance's delta feed: it applies every triple
@@ -228,11 +268,12 @@ func (mp *MaintainedPres) Insert(triples []rdf.Triple) (newFacts, newMeasures in
 // structurally changed), Sync falls back to a full Refresh and reports
 // refreshed = true.
 func (mp *MaintainedPres) Sync() (newFacts, newMeasures int, refreshed bool, err error) {
+	mp.last = ApplyStats{}
 	ver := mp.inst.Version()
-	if !mp.dirty && ver == mp.ver {
+	if ver == mp.ver {
 		return 0, 0, false, nil
 	}
-	if mp.dirty || ver.Base != mp.ver.Base {
+	if ver.Base != mp.ver.Base {
 		return 0, 0, true, mp.Refresh()
 	}
 	delta := mp.inst.DeltaSince(mp.ver.Seq)
@@ -240,116 +281,70 @@ func (mp *MaintainedPres) Sync() (newFacts, newMeasures int, refreshed bool, err
 		mp.ver = ver
 		return 0, 0, false, nil
 	}
-	newFacts, newMeasures, err = mp.apply(delta)
-	if err != nil {
-		return newFacts, newMeasures, false, err
+	if newFacts, newMeasures, err = mp.apply(delta); err == nil {
+		mp.ver = ver
 	}
-	mp.ver = ver
-	return newFacts, newMeasures, false, nil
+	return newFacts, newMeasures, false, err
 }
 
 // apply absorbs delta — triples already present in the instance — into
-// the maintained c, m_k and pres. It marks the materialization dirty for
-// its duration: an error can leave c/m_k partially updated with pres
-// behind, which keyed replay cannot repair, so Sync falls back to
-// Refresh while the mark stands.
+// the maintained c, m_k, pres and (when built) ans. Both delta queries
+// are evaluated before any state changes, so an error leaves the
+// materialization as it was and a later Sync replays the same feed.
 func (mp *MaintainedPres) apply(delta []store.IDTriple) (newFacts, newMeasures int, err error) {
-	mp.dirty = true
-	// Δc: classifier embeddings touching a delta triple, Σ-filtered,
-	// projected to the head, minus rows already present.
-	cRows, err := deltaHeadRows(mp.inst, mp.q.Classifier, delta)
+	cCand, err := deltaRows(mp.inst, mp.q.Classifier, delta, mp.q.Classifier.Head)
 	if err != nil {
 		return 0, 0, err
 	}
-	dims := mp.q.Dims()
-	deltaC := algebra.NewRelation(mp.c.Cols...)
-	for _, row := range cRows {
-		deltaC.Append(row)
-	}
-	pred, err := sigmaFilterFor(mp.ev, deltaC, dims, mp.q.Sigma)
+	keep, err := mp.ev.SigmaFilter(mp.c, mp.q.Dims(), mp.q.Sigma)
 	if err != nil {
 		return 0, 0, err
 	}
-	deltaC = deltaC.Select(pred)
-	freshC := algebra.NewRelation(mp.c.Cols...)
-	for _, row := range deltaC.Rows {
-		k := rowKey(row)
-		if _, dup := mp.cKeys[k]; dup {
+	mRows, err := deltaRows(mp.inst, mp.mbarQ, delta, mp.mbarQ.Head)
+	if err != nil {
+		return 0, 0, err
+	}
+
+	// Δc: classifier rows touching a delta triple, Σ-filtered, minus rows
+	// already present — which can only be rows with the same root.
+	oldC, cRows := mp.c.Len(), mp.c.Rows
+	for _, ids := range cCand {
+		row := make(algebra.Row, len(ids))
+		for i, id := range ids {
+			row[i] = algebra.TermV(id)
+		}
+		if !keep(row) || slices.ContainsFunc(mp.cByRoot[ids[0]], func(p int32) bool { return slices.Equal(cRows[p], row) }) {
 			continue
 		}
-		mp.cKeys[k] = struct{}{}
-		freshC.Append(row)
-		mp.c.Append(row)
+		mp.cByRoot[ids[0]] = append(mp.cByRoot[ids[0]], int32(len(cRows)))
+		cRows = append(cRows, row)
 	}
 
 	// Δm̄: new measure embeddings; each gets a fresh key.
-	root, v := mp.q.Measure.Head[0], mp.q.Measure.Head[1]
-	mRows, mVars, err := deltaFullRows(mp.inst, mp.mbarQ, delta)
-	if err != nil {
-		return 0, 0, err
-	}
-	rootCol, vCol := -1, -1
-	for i, name := range mVars {
-		if name == root {
-			rootCol = i
-		}
-		if name == v {
-			vCol = i
-		}
-	}
-	freshMk := algebra.NewRelation(core.KeyCol, root, v)
-	for _, row := range mRows {
-		k := idKey(row)
+	vCol := mp.vCol()
+	oldMk, mkRows := mp.mk.Len(), mp.mk.Rows
+	for _, ids := range mRows {
+		k := idKey(ids)
 		if _, dup := mp.mbarKeys[k]; dup {
 			continue
 		}
 		mp.mbarKeys[k] = struct{}{}
 		mp.nextKey++
-		nr := algebra.Row{
-			algebra.KeyV(mp.nextKey),
-			algebra.TermV(row[rootCol]),
-			algebra.TermV(row[vCol]),
-		}
-		freshMk.Append(nr)
-		mp.mk.Append(nr)
+		mp.mkByRoot[ids[0]] = append(mp.mkByRoot[ids[0]], int32(len(mkRows)))
+		mkRows = append(mkRows, algebra.Row{algebra.KeyV(mp.nextKey), algebra.TermV(ids[0]), algebra.TermV(ids[vCol])})
 	}
 
-	// Δpres = Δc ⋈ mk(all) ∪ c_old ⋈ Δmk. The first term uses the full
-	// mk (which already includes Δmk); the second must exclude Δc rows
-	// to avoid double-counting, so join against c *before* this batch's
-	// rows were appended — equivalently, subtract the overlap. We join
-	// freshC against full mk, and (c minus freshC) against freshMk; since
-	// c already contains freshC, build the old-c view explicitly.
-	cols := append([]string{mp.q.Root()}, dims...)
-	cols = append(cols, core.KeyCol, mp.q.MeasureVar())
-
-	part1, err := freshC.Join(mp.mk, []string{mp.q.Root()}, []string{mp.q.Root()})
-	if err != nil {
-		return 0, 0, err
+	// Swap in fresh headers: holders of the previous Pres(), Answer() or
+	// State keep a consistent view while the materialization moves on.
+	mp.c = &algebra.Relation{Cols: mp.c.Cols, Rows: cRows}
+	mp.mk = &algebra.Relation{Cols: mp.mk.Cols, Rows: mkRows}
+	added := mp.joinDelta(oldC, oldMk)
+	mp.pres = &algebra.Relation{Cols: mp.pres.Cols, Rows: append(mp.pres.Rows, added...)}
+	mp.last = ApplyStats{DeltaTriples: len(delta), PresRowsAdded: len(added)}
+	if mp.ans != nil {
+		mp.last.CellsTouched = mp.ans.add(added)
 	}
-	freshKeys := map[string]struct{}{}
-	for _, row := range freshC.Rows {
-		freshKeys[rowKey(row)] = struct{}{}
-	}
-	oldC := mp.c.Select(func(row algebra.Row) bool {
-		_, isFresh := freshKeys[rowKey(row)]
-		return !isFresh
-	})
-	part2, err := oldC.Join(freshMk, []string{mp.q.Root()}, []string{mp.q.Root()})
-	if err != nil {
-		return 0, 0, err
-	}
-	// Swap in a fresh relation header (rows appended copy-on-write):
-	// callers holding the previous Pres() snapshot keep a consistent
-	// view while the materialization moves forward.
-	next := &algebra.Relation{Cols: mp.pres.Cols, Rows: mp.pres.Rows}
-	for _, part := range []*algebra.Relation{part1, part2} {
-		proj := part.Project(cols...)
-		next.Rows = append(next.Rows, proj.Rows...)
-	}
-	mp.pres = next
-	mp.dirty = false
-	return freshC.Len(), freshMk.Len(), nil
+	return len(cRows) - oldC, len(mkRows) - oldMk, nil
 }
 
 // Refresh recomputes the materialization from scratch; used after
@@ -363,42 +358,13 @@ func (mp *MaintainedPres) Refresh() error {
 	return nil
 }
 
-// deltaHeadRows returns the head projections of embeddings of q's body
-// that use at least one delta triple. Rows may repeat across seeds; the
-// caller deduplicates. Evaluation seeds each body pattern in turn with
-// each matching delta triple and evaluates the remainder of the body.
-func deltaHeadRows(st *store.Store, q *sparql.Query, delta []store.IDTriple) ([]algebra.Row, error) {
-	full, _, err := deltaFullRowsProjected(st, q, delta, q.Head)
-	if err != nil {
-		return nil, err
-	}
-	return full, nil
-}
-
-// deltaFullRows returns the distinct full-body embeddings (all body
-// variables) using at least one delta triple, and the variable order.
-func deltaFullRows(st *store.Store, q *sparql.Query, delta []store.IDTriple) ([][]dict.ID, []string, error) {
-	vars := q.Vars()
-	rows, names, err := deltaFullRowsProjected(st, q, delta, vars)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]dict.ID, len(rows))
-	for i, row := range rows {
-		ids := make([]dict.ID, len(row))
-		for j, cell := range row {
-			ids[j] = cell.ID
-		}
-		out[i] = ids
-	}
-	return out, names, nil
-}
-
-// deltaFullRowsProjected enumerates embeddings touching the delta,
-// projected onto the given variables, deduplicated on the *full* body
-// binding so one embedding is reported once even if several of its
-// triples are new.
-func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTriple, project []string) ([]algebra.Row, []string, error) {
+// deltaRows enumerates the embeddings of q's body that use at least one
+// delta triple, projected onto the given variables, deduplicated on the
+// *full* body binding so one embedding is reported once even if several
+// of its triples are new (projections may still repeat). Evaluation
+// seeds each body pattern in turn with each matching delta triple and
+// evaluates the remainder of the body.
+func deltaRows(st *store.Store, q *sparql.Query, delta []store.IDTriple, project []string) ([][]dict.ID, error) {
 	allVars := q.Vars()
 	varPos := map[string]int{}
 	for i, v := range allVars {
@@ -406,7 +372,7 @@ func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTr
 	}
 	d := st.Dict()
 	seen := map[string]struct{}{}
-	var out []algebra.Row
+	var out [][]dict.ID
 
 	for i, tp := range q.Patterns {
 		for _, t := range delta {
@@ -419,38 +385,25 @@ func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTr
 			for name, id := range binding {
 				term, ok := d.Decode(id)
 				if !ok {
-					return nil, nil, fmt.Errorf("incr: unknown ID %d", id)
+					return nil, fmt.Errorf("incr: unknown ID %d", id)
 				}
 				substituteBody(sub, name, term)
 			}
 			// Drop the seeded pattern (it is now fully constant and
-			// known to hold); keep the rest.
+			// known to hold) and evaluate the rest. When the seed bound
+			// every variable the rest is ground: the seed alone is one
+			// embedding if all of it holds.
 			sub.Patterns = append(sub.Patterns[:i:i], sub.Patterns[i+1:]...)
-			var res *bgp.Result
-			switch {
-			case len(sub.Patterns) == 0:
-				res = &bgp.Result{}
-			case len(sub.Vars()) == 0:
-				// The seed bound every variable: the remaining patterns
-				// are ground; verify they hold.
-				holds := true
-				for _, g := range sub.Patterns {
-					if !groundHolds(st, g) {
-						holds = false
-						break
-					}
-				}
-				if !holds {
-					continue
-				}
-				res = &bgp.Result{}
-				sub.Patterns = nil
-			default:
+			res := &bgp.Result{Rows: [][]dict.ID{nil}}
+			if len(sub.Vars()) > 0 {
 				var err error
-				res, err = bgp.Eval(st, sub, bgp.Options{Distinct: true, KeepAllVars: true})
-				if err != nil {
-					return nil, nil, err
+				if res, err = bgp.Eval(st, sub, bgp.Options{Distinct: true, KeepAllVars: true}); err != nil {
+					return nil, err
 				}
+			} else if slices.ContainsFunc(sub.Patterns, func(g sparql.TriplePattern) bool {
+				return !st.Contains(rdf.Triple{S: g.S.Term, P: g.P.Term, O: g.O.Term})
+			}) {
+				continue
 			}
 			colOf := map[string]int{}
 			for ci, name := range res.Vars {
@@ -459,49 +412,34 @@ func deltaFullRowsProjected(st *store.Store, q *sparql.Query, delta []store.IDTr
 			emit := func(row []dict.ID) {
 				// Assemble the full binding: seed values + row values.
 				fullRow := make([]dict.ID, len(allVars))
-				complete := true
 				for vi, name := range allVars {
 					if id, ok := binding[name]; ok {
 						fullRow[vi] = id
 						continue
 					}
 					ci, ok := colOf[name]
-					if !ok || row == nil {
-						complete = false
-						break
+					if !ok {
+						return
 					}
 					fullRow[vi] = row[ci]
 				}
-				if !complete {
-					return
-				}
-				k := idKeyIDs(fullRow)
+				k := idKey(fullRow)
 				if _, dup := seen[k]; dup {
 					return
 				}
 				seen[k] = struct{}{}
-				proj := make(algebra.Row, len(project))
+				proj := make([]dict.ID, len(project))
 				for pi, name := range project {
-					proj[pi] = algebra.TermV(fullRow[varPos[name]])
+					proj[pi] = fullRow[varPos[name]]
 				}
 				out = append(out, proj)
-			}
-			if len(sub.Patterns) == 0 {
-				// The whole body was the seeded pattern.
-				emit(nil)
-				continue
 			}
 			for _, row := range res.Rows {
 				emit(row)
 			}
 		}
 	}
-	return out, project, nil
-}
-
-// groundHolds reports whether a fully-constant pattern is in the store.
-func groundHolds(st *store.Store, tp sparql.TriplePattern) bool {
-	return st.Contains(rdf.Triple{S: tp.S.Term, P: tp.P.Term, O: tp.O.Term})
+	return out, nil
 }
 
 // matchPattern unifies a triple pattern with a concrete triple,
@@ -556,63 +494,11 @@ func substituteBody(q *sparql.Query, name string, t rdf.Term) {
 	}
 }
 
-// sigmaFilterFor adapts the evaluator's Σ filtering to a delta relation.
-func sigmaFilterFor(ev *core.Evaluator, rel *algebra.Relation, dims []string, sigma core.Sigma) (func(algebra.Row) bool, error) {
-	if len(sigma) == 0 {
-		return func(algebra.Row) bool { return true }, nil
-	}
-	d := ev.Instance().Dict()
-	type colSet struct {
-		col     int
-		allowed map[dict.ID]struct{}
-	}
-	var sets []colSet
-	for _, dim := range dims {
-		vals, ok := sigma[dim]
-		if !ok {
-			continue
-		}
-		col := rel.Column(dim)
-		if col < 0 {
-			return nil, fmt.Errorf("incr: Σ dimension %q missing from relation %v", dim, rel.Cols)
-		}
-		allowed := make(map[dict.ID]struct{}, len(vals))
-		for _, t := range vals {
-			if id, ok := d.Lookup(t); ok {
-				allowed[id] = struct{}{}
-			}
-		}
-		sets = append(sets, colSet{col: col, allowed: allowed})
-	}
-	return func(row algebra.Row) bool {
-		for _, s := range sets {
-			if _, ok := s.allowed[row[s.col].ID]; !ok {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// rowKey encodes a term row.
-func rowKey(row algebra.Row) string {
-	b := make([]byte, 0, len(row)*8)
-	for _, cell := range row {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(uint64(cell.ID)>>s))
-		}
-	}
-	return string(b)
-}
-
-func idKey(row []dict.ID) string { return idKeyIDs(row) }
-
-func idKeyIDs(row []dict.ID) string {
+// idKey encodes an ID row as a map key.
+func idKey(row []dict.ID) string {
 	b := make([]byte, 0, len(row)*8)
 	for _, id := range row {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(uint64(id)>>s))
-		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	}
 	return string(b)
 }

@@ -3,6 +3,8 @@ package incr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"rdfcube/internal/agg"
@@ -23,7 +25,7 @@ func px() sparql.Prefixes {
 	return p
 }
 
-func testQuery(t *testing.T, f agg.Func) *core.Query {
+func testQuery(t testing.TB, f agg.Func) *core.Query {
 	t.Helper()
 	c := sparql.MustParseDatalog(
 		"c(x, d0, d1) :- x rdf:type :Fact, x :dim0 d0, x :dim1 d1", px())
@@ -83,6 +85,14 @@ func checkAgainstFresh(t *testing.T, mp *MaintainedPres) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The accumulators are γ over the maintained pres, row for row.
+	regrouped, err := mp.ev.AnswerFromPres(q, mp.Pres())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(gotAns, regrouped) {
+		t.Fatalf("accumulated answer differs from γ over the maintained pres\n got: %v\n want: %v", gotAns.Rows, regrouped.Rows)
+	}
 	wantAns, err := mp.ev.AnswerFromPres(q, freshPres)
 	if err != nil {
 		t.Fatal(err)
@@ -92,42 +102,279 @@ func checkAgainstFresh(t *testing.T, mp *MaintainedPres) {
 	}
 }
 
+// sameRows reports whether a and b have the same columns and the same
+// rows in the same order.
+func sameRows(a, b *algebra.Relation) bool {
+	return slices.Equal(a.Cols, b.Cols) && slices.EqualFunc(a.Rows, b.Rows, func(x, y algebra.Row) bool {
+		return slices.Equal(x, y)
+	})
+}
+
+// stream generates the insert batches of the differential tests: new
+// facts, and late arrivals for facts already in the instance — a first
+// or an extra dimension value, a whole measure, or a measure whose value
+// arrives batches after its edge, numeric or not.
+type stream struct {
+	rng     *rand.Rand
+	next    int        // next fact id
+	facts   []int      // facts with a type triple
+	noDim1  []int      // facts still without dim1, so outside c
+	pending []rdf.Term // measure events whose score has not arrived
+	events  int
+}
+
+func factIRI(id int) rdf.Term { return iri(fmt.Sprintf("fact%d", id)) }
+
+// value is a measure value; one in four is not a number, which
+// sum/avg/min/max skip and count/countdistinct do not.
+func (s *stream) value() rdf.Term {
+	if s.rng.Intn(4) == 0 {
+		return rdf.NewLiteral("n/a")
+	}
+	return rdf.NewInt(int64(1 + s.rng.Intn(9)))
+}
+
+func (s *stream) event() rdf.Term {
+	s.events++
+	return iri(fmt.Sprintf("late%d", s.events))
+}
+
+func (s *stream) fact() rdf.Term { return factIRI(s.facts[s.rng.Intn(len(s.facts))]) }
+
+func (s *stream) batch() []rdf.Triple {
+	var out []rdf.Triple
+	add := func(sub, p, o rdf.Term) { out = append(out, rdf.Triple{S: sub, P: p, O: o}) }
+	for n := 0; n < 1+s.rng.Intn(4); n++ {
+		switch s.rng.Intn(7) {
+		case 0, 1: // a new fact
+			out = append(out, factTriples(s.rng, s.next)...)
+			s.facts = append(s.facts, s.next)
+			s.next++
+		case 2: // a new fact with a measure but no dim1 yet
+			x := factIRI(s.next)
+			add(x, rdf.Type, iri("Fact"))
+			add(x, iri("dim0"), rdf.NewInt(int64(s.rng.Intn(3))))
+			e := s.event()
+			add(x, iri("did"), e)
+			add(e, iri("score"), s.value())
+			s.facts = append(s.facts, s.next)
+			s.noDim1 = append(s.noDim1, s.next)
+			s.next++
+		case 3: // the first dim1 of such a fact: it joins c late
+			if len(s.noDim1) > 0 {
+				add(factIRI(s.noDim1[0]), iri("dim1"), rdf.NewInt(int64(s.rng.Intn(4))))
+				s.noDim1 = s.noDim1[1:]
+			}
+		case 4: // an extra dimension value for an existing fact
+			dim := fmt.Sprintf("dim%d", s.rng.Intn(2))
+			add(s.fact(), iri(dim), rdf.NewInt(int64(5+s.rng.Intn(2))))
+		case 5: // a whole measure for an existing fact
+			e := s.event()
+			add(s.fact(), iri("did"), e)
+			add(e, iri("score"), s.value())
+		case 6: // a measure edge now, its value later
+			if len(s.pending) > 0 && s.rng.Intn(2) == 0 {
+				add(s.pending[0], iri("score"), s.value())
+				s.pending = s.pending[1:]
+				break
+			}
+			e := s.event()
+			add(s.fact(), iri("did"), e)
+			s.pending = append(s.pending, e)
+		}
+	}
+	return out
+}
+
+// TestIncrementalMatchesFreshRandom is the differential test of
+// maintenance: for every aggregate function — on the test query, on it
+// Σ-restricted, and on a classifier whose d1 is existential (so a new
+// embedding can project onto a classifier row already held) — random
+// batches of new facts and late arrivals are
+// absorbed one at a time, and after every batch pres(Q) equals fresh
+// evaluation and ans(Q) equals both γ over the maintained pres(Q) (row
+// for row) and fresh evaluation. Midway the materialization goes
+// through State → FromState and carries on from the copy.
 func TestIncrementalMatchesFreshRandom(t *testing.T) {
-	for _, aggName := range []string{"sum", "count", "avg"} {
+	for _, aggName := range []string{"sum", "count", "avg", "min", "max", "countdistinct"} {
 		t.Run(aggName, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			st := store.New()
 			f, err := agg.ByName(aggName)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Initial population.
-			id := 0
-			for ; id < 20; id++ {
-				for _, tr := range factTriples(rng, id) {
-					st.Add(tr)
-				}
-			}
-			ev := core.NewEvaluator(st)
-			mp, err := New(ev, testQuery(t, f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstFresh(t, mp)
-			// Ten incremental batches of new facts.
-			for batch := 0; batch < 10; batch++ {
-				var triples []rdf.Triple
-				for n := 0; n < 1+rng.Intn(5); n++ {
-					triples = append(triples, factTriples(rng, id)...)
-					id++
-				}
-				if _, _, err := mp.Insert(triples); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				checkAgainstFresh(t, mp)
+			for _, variant := range []string{"plain", "diced", "existential"} {
+				t.Run(variant, func(t *testing.T) { randomStream(t, f, variant) })
 			}
 		})
 	}
+}
+
+func randomStream(t *testing.T, f agg.Func, variant string) {
+	s := &stream{rng: rand.New(rand.NewSource(42))}
+	st := store.New()
+	for s.next < 20 {
+		for _, tr := range factTriples(s.rng, s.next) {
+			st.Add(tr)
+		}
+		s.facts = append(s.facts, s.next)
+		s.next++
+	}
+	q := testQuery(t, f)
+	var err error
+	switch variant {
+	case "diced":
+		q, err = core.Dice(q, map[string][]rdf.Term{"d0": {rdf.NewInt(0), rdf.NewInt(2), rdf.NewInt(5)}})
+	case "existential":
+		q, err = core.New(sparql.MustParseDatalog(
+			"c(x, d0) :- x rdf:type :Fact, x :dim0 d0, x :dim1 d1", px()), q.Measure, f)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := core.NewEvaluator(st)
+	mp, err := New(ev, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstFresh(t, mp)
+	for batch := 0; batch < 16; batch++ {
+		if batch == 8 {
+			state, err := mp.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mp, err = FromState(ev, q, state); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstFresh(t, mp)
+		}
+		if _, _, err := mp.Insert(s.batch()); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		checkAgainstFresh(t, mp)
+	}
+}
+
+// TestNumericMeasureFillsEmptyCell: a cell whose measures are all
+// non-numeric has no sum and no ans(Q) row, yet holds its first-seen
+// place among the cells. When a number finally arrives, the row must
+// appear at that place, as γ over pres(Q) would put it — behind rows of
+// cells seen earlier, ahead of rows of cells seen later.
+func TestNumericMeasureFillsEmptyCell(t *testing.T) {
+	st := store.New()
+	fact := func(name string, d0 int64, score rdf.Term) []rdf.Triple {
+		x, e := iri(name), iri(name+"_e")
+		return []rdf.Triple{
+			{S: x, P: rdf.Type, O: iri("Fact")},
+			{S: x, P: iri("dim0"), O: rdf.NewInt(d0)},
+			{S: x, P: iri("dim1"), O: rdf.NewInt(0)},
+			{S: x, P: iri("did"), O: e},
+			{S: e, P: iri("score"), O: score},
+		}
+	}
+	for _, tr := range append(fact("a", 0, rdf.NewInt(3)), fact("b", 1, rdf.NewLiteral("n/a"))...) {
+		st.Add(tr)
+	}
+	mp, err := New(core.NewEvaluator(st), testQuery(t, agg.Sum))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := mp.Answer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Len() != 1 {
+		t.Fatalf("ans(Q) has %d rows, want 1: b's cell has no number", before.Len())
+	}
+	kept := before.Clone()
+	steps := [][]rdf.Triple{
+		fact("c", 2, rdf.NewInt(4)), // a new, later cell
+		{{S: iri("b"), P: iri("did"), O: iri("b_e2")}, {S: iri("b_e2"), P: iri("score"), O: rdf.NewInt(5)}},
+	}
+	for _, step := range steps {
+		if _, _, err := mp.Insert(step); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstFresh(t, mp)
+	}
+	if ans, _ := mp.Answer(); ans.Len() != 3 {
+		t.Fatalf("ans(Q) has %d rows, want 3", ans.Len())
+	}
+	if !sameRows(before, kept) {
+		t.Fatal("an earlier Answer() snapshot changed")
+	}
+}
+
+// TestSnapshotsStableUnderApply: Pres() and Answer() return snapshots. A
+// reader holding earlier ones while batches apply must never see them
+// change; under -race, the writer must also never touch memory a
+// published snapshot can reach.
+func TestSnapshotsStableUnderApply(t *testing.T) {
+	s := &stream{rng: rand.New(rand.NewSource(31))}
+	st := store.New()
+	for s.next < 30 {
+		for _, tr := range factTriples(s.rng, s.next) {
+			st.Add(tr)
+		}
+		s.facts = append(s.facts, s.next)
+		s.next++
+	}
+	st.Freeze()
+	mp, err := New(core.NewEvaluator(st), testQuery(t, agg.Avg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct{ pres, ans, presCopy, ansCopy *algebra.Relation }
+	var (
+		mu    sync.Mutex
+		snaps []snapshot
+	)
+	take := func() {
+		ans, err := mp.Answer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := snapshot{mp.Pres(), ans, mp.Pres().Clone(), ans.Clone()}
+		mu.Lock()
+		snaps = append(snaps, snap)
+		mu.Unlock()
+	}
+	take()
+	done := make(chan struct{})
+	changed := make(chan int, 1)
+	go func() {
+		defer close(changed)
+		for {
+			mu.Lock()
+			held := slices.Clone(snaps)
+			mu.Unlock()
+			for i, snap := range held {
+				if !sameRows(snap.pres, snap.presCopy) || !sameRows(snap.ans, snap.ansCopy) {
+					changed <- i
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for batch := 0; batch < 30; batch++ {
+		for _, tr := range s.batch() {
+			st.Add(tr)
+		}
+		if _, _, _, err := mp.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		take()
+	}
+	close(done)
+	if i, ok := <-changed; ok {
+		t.Fatalf("snapshot %d changed while later batches applied", i)
+	}
+	checkAgainstFresh(t, mp)
 }
 
 func TestInsertExtendsExistingFact(t *testing.T) {
@@ -449,4 +696,53 @@ func BenchmarkInsertVsRecompute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSyncBatch measures absorbing one 25-triple batch — Sync, then
+// the Answer that publishes ans(Q) — into a view over a frozen instance
+// of 2k and of 20k facts. Maintenance costs O(|Δ|), so ns/op should
+// barely move between the two sizes.
+func BenchmarkSyncBatch(b *testing.B) {
+	for _, facts := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(37))
+			st := store.New()
+			for id := 0; id < facts; id++ {
+				for _, tr := range factTriples(rng, id) {
+					st.Add(tr)
+				}
+			}
+			st.Freeze()
+			st.SetInlineCompaction(false) // the feed must not fold away mid-run
+			mp, err := New(core.NewEvaluator(st), testQuery(b, agg.Sum))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := mp.Answer(); err != nil {
+				b.Fatal(err)
+			}
+			var pending []rdf.Triple
+			id := facts
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for len(pending) < 25 {
+					pending = append(pending, factTriples(rng, id)...)
+					id++
+				}
+				for _, tr := range pending[:25] {
+					st.Add(tr)
+				}
+				pending = pending[25:]
+				b.StartTimer()
+				if _, _, refreshed, err := mp.Sync(); err != nil || refreshed {
+					b.Fatalf("sync: refreshed=%t err=%v", refreshed, err)
+				}
+				if _, err := mp.Answer(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -10,6 +10,7 @@ package incr
 
 import (
 	"fmt"
+	"slices"
 
 	"rdfcube/internal/algebra"
 	"rdfcube/internal/core"
@@ -33,13 +34,9 @@ type State struct {
 	Ver store.Version
 }
 
-// State exports the materialization's maintenance state. It fails on a
-// dirty materialization (a partially-applied delta cannot be resumed
-// from a copy).
+// State exports the materialization's maintenance state. The error is
+// always nil: an application either completes or leaves no trace.
 func (mp *MaintainedPres) State() (*State, error) {
-	if mp.dirty {
-		return nil, fmt.Errorf("incr: cannot snapshot a dirty materialization")
-	}
 	keys := make([]string, 0, len(mp.mbarKeys))
 	for k := range mp.mbarKeys {
 		keys = append(keys, k)
@@ -56,10 +53,11 @@ func (mp *MaintainedPres) State() (*State, error) {
 
 // FromState reconstructs a maintained materialization of q from a
 // previously exported State, without evaluating anything: the relations
-// are adopted as-is and the dedup indexes are rebuilt from them. The
-// caller is responsible for the state belonging to q and to the
-// evaluator's instance (the view registry guards this with fingerprints
-// and store versions); structural mismatches are rejected.
+// are adopted as-is and the root indexes are rebuilt from them; ans(Q)'s
+// accumulators follow on the first Answer. The caller is responsible for
+// the state belonging to q and to the evaluator's instance (the view
+// registry guards this with fingerprints and store versions); structural
+// mismatches are rejected.
 func FromState(ev *core.Evaluator, q *core.Query, s *State) (*MaintainedPres, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -68,43 +66,29 @@ func FromState(ev *core.Evaluator, q *core.Query, s *State) (*MaintainedPres, er
 		return nil, fmt.Errorf("incr: incomplete state")
 	}
 	root := q.Root()
-	if len(s.Mk.Cols) != 3 || s.Mk.Cols[0] != core.KeyCol || s.Mk.Cols[1] != root {
-		return nil, fmt.Errorf("incr: m_k columns %v do not match query root %q", s.Mk.Cols, root)
-	}
 	wantC := append([]string{root}, q.Dims()...)
-	if len(s.C.Cols) != len(wantC) {
+	wantPres := append(slices.Clone(wantC), core.KeyCol, q.MeasureVar())
+	switch {
+	case len(s.Mk.Cols) != 3 || s.Mk.Cols[0] != core.KeyCol || s.Mk.Cols[1] != root:
+		return nil, fmt.Errorf("incr: m_k columns %v do not match query root %q", s.Mk.Cols, root)
+	case !slices.Equal(s.C.Cols, wantC):
 		return nil, fmt.Errorf("incr: classifier columns %v, want %v", s.C.Cols, wantC)
-	}
-	for i, col := range wantC {
-		if s.C.Cols[i] != col {
-			return nil, fmt.Errorf("incr: classifier columns %v, want %v", s.C.Cols, wantC)
-		}
-	}
-	wantPres := append(append([]string{root}, q.Dims()...), core.KeyCol, q.MeasureVar())
-	if len(s.Pres.Cols) != len(wantPres) {
+	case !slices.Equal(s.Pres.Cols, wantPres):
 		return nil, fmt.Errorf("incr: pres columns %v, want %v", s.Pres.Cols, wantPres)
-	}
-	for i, col := range wantPres {
-		if s.Pres.Cols[i] != col {
-			return nil, fmt.Errorf("incr: pres columns %v, want %v", s.Pres.Cols, wantPres)
-		}
 	}
 	mp := &MaintainedPres{
 		q:        q.Clone(),
 		ev:       ev,
 		inst:     ev.Instance(),
 		c:        s.C,
-		cKeys:    make(map[string]struct{}, s.C.Len()),
 		mbarKeys: make(map[string]struct{}, len(s.MbarKeys)),
+		mbarQ:    mbarQuery(q),
 		mk:       s.Mk,
 		nextKey:  s.NextKey,
 		pres:     s.Pres,
 		ver:      s.Ver,
 	}
-	mp.mbarQ = mbarQuery(mp.q)
-	for _, row := range s.C.Rows {
-		mp.cKeys[rowKey(row)] = struct{}{}
-	}
+	mp.index()
 	for _, k := range s.MbarKeys {
 		mp.mbarKeys[k] = struct{}{}
 	}

@@ -8,11 +8,13 @@ package viewreg
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"rdfcube/internal/agg"
 	"rdfcube/internal/algebra"
+	"rdfcube/internal/obs"
 )
 
 func TestLazyUpgradeOnFirstWrite(t *testing.T) {
@@ -114,4 +116,46 @@ func TestLazyUpgradeAfterRestore(t *testing.T) {
 		t.Fatalf("post-restore post-write answer: strategy %v err %v", s, err)
 	}
 	checkAgainstDirect(t, reg2, q, cube, fmt.Sprintf("restored+upgraded view (n=%d)", n))
+}
+
+// TestMaintainSpanReportsDeltaWork: a traced write's viewreg.maintain
+// span carries the work maintenance did — feed triples read, pres rows
+// added, ans cells touched — so a trace shows it scales with the delta,
+// not with the view.
+func TestMaintainSpanReportsDeltaWork(t *testing.T) {
+	st := instance(14, 60)
+	r := New(st, Config{})
+	q := query(t, agg.Sum)
+	if _, _, err := r.Answer(q); err != nil {
+		t.Fatal(err)
+	}
+	newFact(st, 900, 1, 42)
+	r.NotifyWrite() // upgrades the entry and builds its accumulators
+
+	n := newFact(st, 901, 2, 7) // one fact: one pres row, one cell
+	var tracer obs.Tracer
+	ctx, tr := tracer.Start(context.Background(), "/insert")
+	r.NotifyWriteCtx(ctx)
+	tracer.Finish(tr)
+	var attrs map[string]string
+	tr.Dump().Root.Walk(func(_ int, s *obs.SpanDump) {
+		if s.Name == "viewreg.maintain" {
+			attrs = s.Attrs
+		}
+	})
+	want := map[string]string{
+		"delta_triples":   fmt.Sprint(n),
+		"pres_rows_added": "1",
+		"cells_touched":   "1",
+	}
+	for k, v := range want {
+		if attrs[k] != v {
+			t.Errorf("viewreg.maintain %s = %q, want %q (attrs %v)", k, attrs[k], v, attrs)
+		}
+	}
+	cube, _, err := r.Answer(q.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDirect(t, r, q, cube, "maintained view")
 }

@@ -28,8 +28,9 @@
 //     that lands in the store's delta overlay leaves the base epoch
 //     alone, and entries behind only on the delta sequence are
 //     *maintained* — internal/incr applies the store's delta feed to the
-//     registered pres(Q), and ans(Q) is re-aggregated from it — instead
-//     of dropped, on lookup or on a write notification (NotifyWrite).
+//     registered pres(Q) and the Δpres rows to ans(Q)'s per-cell
+//     accumulators — instead of dropped, on lookup or on a write
+//     notification (NotifyWrite).
 //     Only a base-epoch move (compaction, deletion, structural change)
 //     or an unmaintainable entry falls back to eviction, so the registry
 //     keeps paying view-maintenance cost instead of recomputation cost.
@@ -732,6 +733,10 @@ func (r *Registry) freshen(ctx context.Context, e *entry, ver store.Version) (pr
 		r.discard(e)
 		return nil, nil, false
 	}
+	work := e.mp.LastApply()
+	span.AttrInt("delta_triples", int64(work.DeltaTriples))
+	span.AttrInt("pres_rows_added", int64(work.PresRowsAdded))
+	span.AttrInt("cells_touched", int64(work.CellsTouched))
 	nb := relationBytes(newPres) + relationBytes(newAns) + entryOverhead
 	r.mu.Lock()
 	e.pres, e.ans, e.ver = newPres, newAns, ver
