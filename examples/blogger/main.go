@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rdfcube"
-	"rdfcube/internal/benchmark"
 	"rdfcube/internal/core"
 	"rdfcube/internal/datagen"
 )
@@ -22,25 +21,50 @@ func main() {
 	cfg.MultiValueProb = 0.15
 
 	fmt.Printf("building blogger workload (%d bloggers, %d dims)...\n", cfg.Bloggers, cfg.Dimensions)
-	wl, err := benchmark.BuildBlogger(cfg, "sum")
+	base, err := cfg.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  base graph: %d triples, AnS instance: %d triples\n", wl.Base.Len(), wl.Inst.Len())
+	rdfcube.Saturate(base)
+	base.Freeze() // loading done; materialization queries run on the fast path
+	schema, err := datagen.BloggerSchema(cfg.Dimensions)
+	if err != nil {
+		log.Fatal(err)
+	}
+	inst, err := schema.Materialize(base)
+	if err != nil {
+		log.Fatal(err)
+	}
+	q, err := datagen.BloggerQuery(cfg.Dimensions, "sum")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ev := rdfcube.NewEvaluator(inst)
+	t0 := time.Now()
+	pres, err := ev.Pres(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	presBuild := time.Since(t0)
+	ansQ, err := ev.AnswerFromPres(q, pres)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  base graph: %d triples, AnS instance: %d triples\n", base.Len(), inst.Len())
 	fmt.Printf("  pres(Q): %d rows (built in %v), ans(Q): %d cells\n\n",
-		wl.Pres.Len(), wl.PresBuild.Round(time.Millisecond), wl.Ans.Len())
+		pres.Len(), presBuild.Round(time.Millisecond), ansQ.Len())
 
 	// SLICE on the age dimension.
-	sliced, err := rdfcube.SliceOp(wl.Query, "d0", datagen.DimValue(0, 7))
+	sliced, err := rdfcube.SliceOp(q, "d0", datagen.DimValue(0, 7))
 	if err != nil {
 		log.Fatal(err)
 	}
 	compare("SLICE d0=25",
-		func() (*rdfcube.Cube, error) { return wl.Ev.Answer(sliced) },
-		func() (*rdfcube.Cube, error) { return wl.Ev.DiceRewrite(sliced, wl.Ans) })
+		func() (*rdfcube.Cube, error) { return ev.Answer(sliced) },
+		func() (*rdfcube.Cube, error) { return ev.DiceRewrite(sliced, ansQ) })
 
 	// DICE on age and city.
-	diced, err := rdfcube.DiceOp(wl.Query, map[string][]rdfcube.Term{
+	diced, err := rdfcube.DiceOp(q, map[string][]rdfcube.Term{
 		"d0": {datagen.DimValue(0, 1), datagen.DimValue(0, 2)},
 		"d1": {datagen.DimValue(1, 0), datagen.DimValue(1, 1), datagen.DimValue(1, 2)},
 	})
@@ -48,24 +72,24 @@ func main() {
 		log.Fatal(err)
 	}
 	compare("DICE d0,d1",
-		func() (*rdfcube.Cube, error) { return wl.Ev.Answer(diced) },
-		func() (*rdfcube.Cube, error) { return wl.Ev.DiceRewrite(diced, wl.Ans) })
+		func() (*rdfcube.Cube, error) { return ev.Answer(diced) },
+		func() (*rdfcube.Cube, error) { return ev.DiceRewrite(diced, ansQ) })
 
 	// DRILL-OUT the third dimension (Algorithm 1).
-	qOut, err := rdfcube.DrillOutOp(wl.Query, "d2")
+	qOut, err := rdfcube.DrillOutOp(q, "d2")
 	if err != nil {
 		log.Fatal(err)
 	}
 	compare("DRILL-OUT d2",
-		func() (*rdfcube.Cube, error) { return wl.Ev.Answer(qOut) },
-		func() (*rdfcube.Cube, error) { return wl.Ev.DrillOutRewrite(wl.Query, wl.Pres, "d2") })
+		func() (*rdfcube.Cube, error) { return ev.Answer(qOut) },
+		func() (*rdfcube.Cube, error) { return ev.DrillOutRewrite(q, pres, "d2") })
 
 	// The incorrect naive drill-out, for contrast.
-	correct, err := wl.Ev.DrillOutRewrite(wl.Query, wl.Pres, "d2")
+	correct, err := ev.DrillOutRewrite(q, pres, "d2")
 	if err != nil {
 		log.Fatal(err)
 	}
-	naive, err := core.NaiveDrillOutFromAns(wl.Query, wl.Ans, "d2")
+	naive, err := core.NaiveDrillOutFromAns(q, ansQ, "d2")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +111,7 @@ func compare(label string, direct, rewrite func() (*rdfcube.Cube, error)) {
 		log.Fatal(err)
 	}
 	rDur := time.Since(t0)
-	fmt.Printf("%-14s direct %-10v rewrite %-10v speedup %5s cells %-6d equal=%v\n",
+	fmt.Printf("%-14s direct %-10v rewrite %-10v speedup %4.1fx cells %-6d equal=%v\n",
 		label, dDur.Round(time.Microsecond), rDur.Round(time.Microsecond),
-		benchmark.Speedup(dDur, rDur), r.Len(), rdfcube.CubesEqual(d, r))
+		float64(dDur)/float64(rDur), r.Len(), rdfcube.CubesEqual(d, r))
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rdfcube"
-	"rdfcube/internal/benchmark"
 	"rdfcube/internal/datagen"
 )
 
@@ -21,12 +20,25 @@ func main() {
 	cfg.Bloggers = 10000
 	cfg.Dimensions = 3
 	fmt.Println("building blogger instance...")
-	wl, err := benchmark.BuildBlogger(cfg, "sum")
+	g, err := cfg.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess := rdfcube.NewSession(wl.Inst)
-	base := wl.Query
+	rdfcube.Saturate(g)
+	g.Freeze()
+	schema, err := datagen.BloggerSchema(cfg.Dimensions)
+	if err != nil {
+		log.Fatal(err)
+	}
+	inst, err := schema.Materialize(g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := datagen.BloggerQuery(cfg.Dimensions, "sum")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sess := rdfcube.NewSession(inst)
 
 	steps := []struct {
 		name  string
@@ -83,7 +95,7 @@ func main() {
 	}
 	px := datagen.Prefixes()
 	px["d"] = datagen.NS
-	if err := rdfcube.WriteCube(os.Stdout, small, wl.Inst, "text", px); err != nil {
+	if err := rdfcube.WriteCube(os.Stdout, small, inst, "text", px); err != nil {
 		log.Fatal(err)
 	}
 }

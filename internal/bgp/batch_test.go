@@ -20,11 +20,11 @@ import (
 // constants elsewhere and at most one free tail — one shape per
 // permutation the planner can stream over.
 var streamShapes = []struct{ name, query string }{
-	{"pso-tail", "q(x, w) :- x :a0 :v0, x :a1 w"},           // key S, tail O → PSO
-	{"pos-tail", "q(x, y) :- x :a0 :v0, y :next x"},         // key O, tail S → POS
-	{"osp-tail", "q(x, p) :- x :a0 :v0, x p :v1"},           // key S, tail P → OSP
-	{"spo-tail", "q(p, w) :- :s1 p :v0, :s2 p w"},           // key P, tail O → SPO
-	{"existence", "q(x, y) :- x :next y, y :a0 :v0"},        // key + 2 consts, no tail
+	{"pso-tail", "q(x, w) :- x :a0 :v0, x :a1 w"},    // key S, tail O → PSO
+	{"pos-tail", "q(x, y) :- x :a0 :v0, y :next x"},  // key O, tail S → POS
+	{"osp-tail", "q(x, p) :- x :a0 :v0, x p :v1"},    // key S, tail P → OSP
+	{"spo-tail", "q(p, w) :- :s1 p :v0, :s2 p w"},    // key P, tail O → SPO
+	{"existence", "q(x, y) :- x :next y, y :a0 :v0"}, // key + 2 consts, no tail
 	{"double-stream", "q(x, z, w) :- x :next y, y :next z, z :a0 w"},
 }
 

@@ -372,46 +372,72 @@ func TestChainedOperations(t *testing.T) {
 }
 
 // TestNaiveDrillOutDetectsMultiValued: with no multi-valued dimensions
-// the naive rewrite agrees with Algorithm 1 for sum; with multi-valued
-// dimensions it must differ somewhere (statistically certain at this
-// size).
+// the naive rewrite agrees with Algorithm 1 for every distributive
+// aggregate. With facts that carry two values of the dropped dimension
+// it double-counts them (Example 5), so it must differ for sum and
+// count, yet still agree for max and min, which are idempotent.
 func TestNaiveDrillOutDetectsMultiValued(t *testing.T) {
-	// Single-valued instance: naive is accidentally correct.
-	st := store.New()
-	add := func(s, p, o rdf.Term) { st.Add(rdf.NewTriple(s, p, o)) }
-	for f := 0; f < 30; f++ {
-		x := iri(fmt.Sprintf("fact%d", f))
-		add(x, rdf.Type, iri("Fact"))
-		add(x, iri("dim0"), rdf.NewInt(int64(f%3)))
-		add(x, iri("dim1"), rdf.NewInt(int64(f%5)))
-		ev := iri(fmt.Sprintf("e%d", f))
-		add(x, iri("did"), ev)
-		add(ev, iri("score"), rdf.NewInt(int64(f%7+1)))
+	instance := func(multiValued bool) *store.Store {
+		st := store.New()
+		add := func(s, p, o rdf.Term) { st.Add(rdf.NewTriple(s, p, o)) }
+		for f := 0; f < 30; f++ {
+			x := iri(fmt.Sprintf("fact%d", f))
+			add(x, rdf.Type, iri("Fact"))
+			add(x, iri("dim0"), rdf.NewInt(int64(f%3)))
+			add(x, iri("dim1"), rdf.NewInt(int64(f%5)))
+			if multiValued && f%4 == 0 {
+				add(x, iri("dim1"), rdf.NewInt(int64(5+f%2)))
+			}
+			ev := iri(fmt.Sprintf("e%d", f))
+			add(x, iri("did"), ev)
+			add(ev, iri("score"), rdf.NewInt(int64(f%7+1)))
+		}
+		return st
 	}
-	q := randomQuery(t, 2, agg.Sum)
-	ev := NewEvaluator(st)
-	pres, err := ev.Pres(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ansQ, err := ev.AnswerFromPres(q, pres)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct, err := ev.DrillOutRewrite(q, pres, "d1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NaiveDrillOutFromAns(q, ansQ, "d1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cubesApproxEqual(correct, naive) {
-		t.Fatal("on single-valued data the naive rewrite must agree")
+	for _, tc := range []struct {
+		multiValued bool
+		f           agg.Func
+		agree       bool
+	}{
+		{false, agg.Sum, true},
+		{false, agg.Count, true},
+		{false, agg.Max, true},
+		{false, agg.Min, true},
+		{true, agg.Sum, false},
+		{true, agg.Count, false},
+		{true, agg.Max, true},
+		{true, agg.Min, true},
+	} {
+		q := randomQuery(t, 2, tc.f)
+		ev := NewEvaluator(instance(tc.multiValued))
+		pres, err := ev.Pres(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ansQ, err := ev.AnswerFromPres(q, pres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		correct, err := ev.DrillOutRewrite(q, pres, "d1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := NaiveDrillOutFromAns(q, ansQ, "d1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cubesApproxEqual(correct, naive); got != tc.agree {
+			t.Errorf("multi-valued=%v %s: naive agrees with Algorithm 1 = %v, want %v",
+				tc.multiValued, tc.f.Name(), got, tc.agree)
+		}
 	}
 	// Avg: naive is undefined regardless.
 	qAvg := randomQuery(t, 2, agg.Avg)
-	if _, err := NaiveDrillOutFromAns(qAvg, ansQ, "d1"); err == nil {
+	ansAvg, err := NewEvaluator(instance(true)).Answer(qAvg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NaiveDrillOutFromAns(qAvg, ansAvg, "d1"); err == nil {
 		t.Fatal("naive drill-out must be undefined for avg")
 	}
 }

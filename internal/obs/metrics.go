@@ -43,7 +43,7 @@ var nStripes = func() int {
 func stripe() int {
 	var probe byte
 	p := uintptr(unsafe.Pointer(&probe))
-	return int((p >> 12) ^ (p >> 19)) & (nStripes - 1)
+	return int((p>>12)^(p>>19)) & (nStripes - 1)
 }
 
 // cell is one cache-line-padded atomic counter, preventing false

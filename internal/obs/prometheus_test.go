@@ -26,7 +26,7 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("in_flight", "Requests in flight.").Set(5)
 	r.GaugeFunc("uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	h := r.Histogram("latency_seconds", "Latency.")
-	h.Observe(5_000)   // bucket le=8192ns = 8.192e-6s
+	h.Observe(5_000) // bucket le=8192ns = 8.192e-6s
 	h.Observe(5_000)
 	h.Observe(100_000) // bucket le=131072ns
 

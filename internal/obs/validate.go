@@ -46,8 +46,8 @@ type bucketSample struct {
 func ValidateExposition(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	types := map[string]string{}   // family -> declared type
-	seen := map[string]bool{}      // name + labels, duplicate detection
+	types := map[string]string{} // family -> declared type
+	seen := map[string]bool{}    // name + labels, duplicate detection
 	hists := map[string]*histSeries{}
 	sawSample := map[string]bool{} // family -> sample seen (TYPE must precede)
 	lineNo := 0
