@@ -1,28 +1,23 @@
 package algebra
 
-// Parallel grouping, deduplication and join fan-out. All three stay
-// byte-identical to their sequential counterparts:
+// The grouping pass of γ and δ, and the join's probe fan-out. Both stay
+// byte-identical to their sequential form:
 //
-//   - γ partitions the HASH space of the group key across workers. All
-//     rows of one group share a hash, so exactly one worker owns each
-//     group — accumulators never race, every group's measures are fed in
-//     input-row order (bit-identical floats to the sequential path), and
-//     the final output sorts groups by their first input row, which is
-//     the sequential first-seen order.
-//   - δ partitions the full-row hash space the same way; every duplicate
-//     pair meets inside one partition, each partition keeps the first-
-//     occurring index, and survivors compact in input order — the
-//     sequential first-occurrence order.
+//   - grouping partitions the HASH space of the group key across workers,
+//     one Cube each. All rows of one cell share a hash, so exactly one
+//     worker owns each cell — accumulators never race, every cell is fed
+//     in input-row order (bit-identical floats to the sequential path),
+//     and the merge orders cells by their first input row, which is the
+//     sequential first-seen order. δ is the same pass on every column.
 //   - ⋈ builds its hash table once, then probes contiguous chunks of the
 //     left side concurrently; per-chunk outputs concatenate in chunk
 //     order and bucket lists hold right rows in insertion (ascending)
 //     order, so the emitted rows match the sequential nested order.
 //
-// All three honor the GroupWorkers override.
+// Both honor the GroupWorkers override.
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"rdfcube/internal/agg"
@@ -51,18 +46,18 @@ func groupWorkers(rows int) int {
 	return nw
 }
 
-// groupAggregateParallel is the fan-out γ. It returns nil when the
-// input is too small to be worth it (the caller then runs the
-// sequential loop).
-func (r *Relation) groupAggregateParallel(gIdx []int, vIdx int, groupCols []string, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
+// group feeds every row of r to a Cube grouping on gIdx (see NewCube) and
+// returns its cells in first-seen order. Wide inputs fan out across one
+// Cube per hash partition.
+func (r *Relation) group(gIdx []int, vIdx int, f agg.Func, resolve NumericResolver) []cell {
 	n := len(r.Rows)
 	nw := groupWorkers(n)
 	if nw <= 1 {
-		return nil
-	}
-	reprIdx := make([]int, len(gIdx))
-	for i := range reprIdx {
-		reprIdx[i] = i
+		cb := r.passCube(gIdx, vIdx, f, resolve, n)
+		for i, row := range r.Rows {
+			cb.addAt(i, hashCols(row, gIdx))
+		}
+		return cb.cells
 	}
 
 	// Pass 1: hash the group key of every row in parallel chunks, each
@@ -95,143 +90,67 @@ func (r *Relation) groupAggregateParallel(gIdx []int, vIdx int, groupCols []stri
 	}
 	wg.Wait()
 
-	// Pass 2: each worker accumulates the groups of its hash partition.
-	// Chunk index lists concatenate in ascending row order, so every
-	// group's measures are fed in input order — as sequentially.
-	parts := make([][]*group, nw)
+	// Pass 2: worker p feeds the rows of hash partition p to its own Cube.
+	// Chunk index lists concatenate in ascending row order, so every cell
+	// is fed in input order — as sequentially.
+	cubes := make([]*Cube, nw)
 	for p := 0; p < nw; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			buckets := make(map[uint64][]*group, n/nw+1)
-			var order []*group
-			for _, cp := range chunkParts {
-				if cp == nil {
-					continue
-				}
-				for _, i := range cp[p] {
-					h := hashes[i]
-					row := r.Rows[i]
-					var g *group
-					for _, cand := range buckets[h] {
-						if colsEqualBits(cand.repr, reprIdx, row, gIdx) {
-							g = cand
-							break
-						}
-					}
-					if g == nil {
-						repr := make(Row, len(gIdx))
-						for j, c := range gIdx {
-							repr[j] = row[c]
-						}
-						g = &group{repr: repr, acc: f.New(), first: i}
-						buckets[h] = append(buckets[h], g)
-						order = append(order, g)
-					}
-					accumulate(g.acc, row[vIdx], resolve)
+			m := 0
+			for _, parts := range chunkParts {
+				if parts != nil {
+					m += len(parts[p])
 				}
 			}
-			parts[p] = order
-		}(p)
-	}
-	wg.Wait()
-
-	// Merge: first-seen order across partitions.
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	order := make([]*group, 0, total)
-	for _, p := range parts {
-		order = append(order, p...)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].first < order[j].first })
-	return finishGroups(groupCols, aggCol, order)
-}
-
-// dedupParallel is the fan-out δ. It returns nil when the input is too
-// small (the caller then runs the sequential hash loop).
-func (r *Relation) dedupParallel() []Row {
-	n := len(r.Rows)
-	nw := groupWorkers(n)
-	if nw <= 1 {
-		return nil
-	}
-
-	// Pass 1: hash every row in parallel chunks, bucketing row indexes
-	// by hash partition per chunk (ascending within each list).
-	hashes := make([]uint64, n)
-	chunkParts := make([][][]int, nw)
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts := make([][]int, nw)
-			for i := lo; i < hi; i++ {
-				h := hashRow(r.Rows[i])
-				hashes[i] = h
-				p := int(h % uint64(nw))
-				parts[p] = append(parts[p], i)
-			}
-			chunkParts[w] = parts
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	// Pass 2: worker p owns hash partition p. Concatenating the chunk
-	// index lists in chunk order keeps indexes ascending, so the kept
-	// row of every duplicate class is its first occurrence.
-	keep := make([]bool, n)
-	for p := 0; p < nw; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			buckets := make(map[uint64][]int, n/nw+1)
+			cb := r.passCube(gIdx, vIdx, f, resolve, m)
 			for _, parts := range chunkParts {
 				if parts == nil {
 					continue
 				}
 				for _, i := range parts[p] {
-					h := hashes[i]
-					dup := false
-					for _, idx := range buckets[h] {
-						if rowsEqualBits(r.Rows[idx], r.Rows[i]) {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						buckets[h] = append(buckets[h], i)
-						keep[i] = true
-					}
+					cb.addAt(i, hashes[i])
 				}
 			}
+			cubes[p] = cb
 		}(p)
 	}
 	wg.Wait()
 
-	kept := 0
-	for _, k := range keep {
-		if k {
-			kept++
-		}
+	// Merge: every partition lists its cells in first-seen order, so
+	// repeatedly taking the head with the lowest first row restores the
+	// sequential first-seen order.
+	total := 0
+	for _, cb := range cubes {
+		total += len(cb.cells)
 	}
-	out := make([]Row, 0, kept)
-	for i, k := range keep {
-		if k {
-			out = append(out, r.Rows[i])
+	cells := make([]cell, 0, total)
+	next := make([]int, nw)
+	for len(cells) < total {
+		best := -1
+		for p, cb := range cubes {
+			if next[p] < len(cb.cells) && (best < 0 || cb.cells[next[p]].first < cubes[best].cells[next[best]].first) {
+				best = p
+			}
 		}
+		cells = append(cells, cubes[best].cells[next[best]])
+		next[best]++
 	}
-	return out
+	return cells
+}
+
+// passCube returns the cube of a grouping pass that feeds it m of r's
+// rows. δ opens a cell for most rows, so its table is sized for all m up
+// front; γ's grows with its cells, which are typically far fewer.
+func (r *Relation) passCube(gIdx []int, vIdx int, f agg.Func, resolve NumericResolver, m int) *Cube {
+	cb := NewCube(gIdx, vIdx, f, resolve)
+	cb.rows = r.Rows
+	if f == nil {
+		cb.heads = make(map[uint64]int32, m)
+		cb.cells = make([]cell, 0, m)
+	}
+	return cb
 }
 
 // parallelJoinMinRows is the probe-side size below which the join stays

@@ -70,19 +70,9 @@ type Row []Value
 
 // Relation is a named-column table with bag semantics: duplicate rows are
 // meaningful until an explicit δ.
-//
-// Sorted and Strict carry the physical sort property of the rows, when
-// one is known — typically inherited from the batch BGP engine through
-// core's bridge. Sorted names the columns the rows are lexicographically
-// ordered by (significance order); Strict additionally promises no two
-// rows agree on all Sorted columns. Operators that preserve row order
-// propagate the property; δ and γ exploit it to replace hash tables
-// with run detection. Both are advisory: a nil Sorted is always safe.
 type Relation struct {
-	Cols   []string
-	Rows   []Row
-	Sorted []string
-	Strict bool
+	Cols []string
+	Rows []Row
 }
 
 // NewRelation returns an empty relation with the given columns.
@@ -151,12 +141,10 @@ func (r *Relation) Clone() *Relation {
 	for i, row := range r.Rows {
 		out.Rows[i] = append(Row(nil), row...)
 	}
-	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict
 	return out
 }
 
 // Select returns σ_pred(r): the rows satisfying pred, bag semantics.
-// Selection keeps row order, so the sort property survives.
 func (r *Relation) Select(pred func(Row) bool) *Relation {
 	out := &Relation{Cols: append([]string(nil), r.Cols...)}
 	for _, row := range r.Rows {
@@ -164,13 +152,10 @@ func (r *Relation) Select(pred func(Row) bool) *Relation {
 			out.Rows = append(out.Rows, row)
 		}
 	}
-	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict
 	return out
 }
 
 // Project returns π_cols(r) with bag semantics (duplicates retained).
-// The longest sorted prefix whose columns all survive still orders the
-// output; strictness survives only when the whole prefix does.
 func (r *Relation) Project(cols ...string) *Relation {
 	idx := make([]int, len(cols))
 	for i, c := range cols {
@@ -185,85 +170,25 @@ func (r *Relation) Project(cols ...string) *Relation {
 		}
 		out.Rows[i] = nr
 	}
-	k := 0
-	for k < len(r.Sorted) && containsCol(cols, r.Sorted[k]) {
-		k++
-	}
-	out.Sorted = append([]string(nil), r.Sorted[:k]...)
-	out.Strict = r.Strict && k == len(r.Sorted)
 	return out
 }
 
 // Dedup returns δ(r): distinct rows. This is the deduplication step of
 // Algorithm 1, which repairs the fact duplication caused by projecting
-// out a multi-valued dimension.
-//
-// A strict input needs no work at all (two identical rows would agree
-// on the strict columns); an input sorted on every column deduplicates
-// by run detection; otherwise wide inputs fan out across CPUs
-// (parallel.go) and small ones run the sequential hash loop. All paths
-// keep the first occurrence, in input order.
+// out a multi-valued dimension. δ is γ on every column without
+// accumulators, so it runs γ's grouping pass (parallel.go) and keeps the
+// first occurrence of each row, in input order.
 func (r *Relation) Dedup() *Relation {
-	out := &Relation{Cols: append([]string(nil), r.Cols...)}
-	out.Sorted, out.Strict = append([]string(nil), r.Sorted...), r.Strict
-	if r.Strict && len(r.Sorted) > 0 {
-		out.Rows = append([]Row(nil), r.Rows...)
-		return out
+	all := make([]int, len(r.Cols))
+	for i := range all {
+		all[i] = i
 	}
-	if len(r.Sorted) > 0 && len(r.Sorted) == len(r.Cols) && colsCover(r.Cols, r.Sorted) {
-		// Sorted on every column: duplicate rows are adjacent.
-		out.Rows = make([]Row, 0, len(r.Rows))
-		for i, row := range r.Rows {
-			if i > 0 && rowsEqualBits(row, out.Rows[len(out.Rows)-1]) {
-				continue
-			}
-			out.Rows = append(out.Rows, row)
-		}
-		out.Strict = true
-		return out
-	}
-	if rows := r.dedupParallel(); rows != nil {
-		out.Rows = rows
-		return out
-	}
-	out.Rows = make([]Row, 0, len(r.Rows))
-	buckets := make(map[uint64][]int, len(r.Rows))
-	for _, row := range r.Rows {
-		h := hashRow(row)
-		dup := false
-		for _, idx := range buckets[h] {
-			if rowsEqualBits(out.Rows[idx], row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		buckets[h] = append(buckets[h], len(out.Rows))
-		out.Rows = append(out.Rows, row)
+	cells := r.group(all, -1, nil, nil)
+	out := &Relation{Cols: append([]string(nil), r.Cols...), Rows: make([]Row, len(cells))}
+	for i := range cells {
+		out.Rows[i] = r.Rows[cells[i].first]
 	}
 	return out
-}
-
-// containsCol reports whether cols contains c.
-func containsCol(cols []string, c string) bool {
-	for _, x := range cols {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
-// colsCover reports whether every column in want appears in cols.
-func colsCover(cols, want []string) bool {
-	for _, c := range want {
-		if !containsCol(cols, c) {
-			return false
-		}
-	}
-	return true
 }
 
 // Hashing: rows and column subsets are keyed by a word-wise FNV-1a hash
@@ -344,129 +269,20 @@ type NumericResolver func(id dict.ID) (float64, bool)
 // Groups whose accumulator reports no result (empty measure bag for
 // functions requiring numeric input) are dropped, matching Definition 1's
 // "if qj(I) is empty, the fact does not contribute to the cube".
-// Output group order is deterministic (first-seen order). An input
-// sorted on exactly the group columns streams: group changes are
-// detected by comparing adjacent rows, with no hash table — first-seen
-// order coincides with the sorted order, so the output is identical to
-// the hash path's. Otherwise wide inputs fan the grouping out across
-// CPUs (parallel.go) with identical output, row for row.
+// Output group order is deterministic (first-seen order), whether the
+// grouping pass runs on one Cube or fans out across CPUs (parallel.go).
 func (r *Relation) GroupAggregate(groupCols []string, valueCol, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
 	gIdx := make([]int, len(groupCols))
 	for i, c := range groupCols {
 		gIdx[i] = r.MustColumn(c)
 	}
-	vIdx := r.MustColumn(valueCol)
-	if r.sortedOnGroups(groupCols) {
-		return r.groupAggregateStream(gIdx, vIdx, groupCols, aggCol, f, resolve)
-	}
-	if out := r.groupAggregateParallel(gIdx, vIdx, groupCols, aggCol, f, resolve); out != nil {
-		return out
-	}
-
-	reprIdx := make([]int, len(gIdx))
-	for i := range reprIdx {
-		reprIdx[i] = i
-	}
-	buckets := make(map[uint64][]*group)
-	var order []*group
-	for _, row := range r.Rows {
-		h := hashCols(row, gIdx)
-		var g *group
-		for _, cand := range buckets[h] {
-			if colsEqualBits(cand.repr, reprIdx, row, gIdx) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			repr := make(Row, len(gIdx))
-			for i, c := range gIdx {
-				repr[i] = row[c]
-			}
-			g = &group{repr: repr, acc: f.New()}
-			buckets[h] = append(buckets[h], g)
-			order = append(order, g)
-		}
-		accumulate(g.acc, row[vIdx], resolve)
-	}
-	return finishGroups(groupCols, aggCol, order)
-}
-
-// sortedOnGroups reports whether the rows are sorted on exactly the
-// group columns: some sorted prefix's column set equals groupCols'.
-// Rows of one group are then adjacent.
-func (r *Relation) sortedOnGroups(groupCols []string) bool {
-	k := len(groupCols)
-	if k == 0 || k > len(r.Sorted) {
-		return false
-	}
-	prefix := r.Sorted[:k]
-	return colsCover(groupCols, prefix) && colsCover(prefix, groupCols)
-}
-
-// groupAggregateStream is the run-detecting γ over group-sorted input:
-// one pass, no hash table, a group closes when the group key changes.
-func (r *Relation) groupAggregateStream(gIdx []int, vIdx int, groupCols []string, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
-	reprIdx := make([]int, len(gIdx))
-	for i := range reprIdx {
-		reprIdx[i] = i
-	}
-	var order []*group
-	var cur *group
-	for _, row := range r.Rows {
-		if cur == nil || !colsEqualBits(cur.repr, reprIdx, row, gIdx) {
-			repr := make(Row, len(gIdx))
-			for i, c := range gIdx {
-				repr[i] = row[c]
-			}
-			cur = &group{repr: repr, acc: f.New()}
-			order = append(order, cur)
-		}
-		accumulate(cur.acc, row[vIdx], resolve)
-	}
-	out := finishGroups(groupCols, aggCol, order)
-	out.Sorted = append([]string(nil), r.Sorted[:len(gIdx)]...)
-	out.Strict = true
-	return out
-}
-
-// group is one in-progress aggregation group; first records the index
-// of its first input row (the deterministic output order).
-type group struct {
-	repr  Row
-	acc   agg.Accumulator
-	first int
-}
-
-// accumulate feeds one measure cell into an accumulator — the single
-// place the cell-kind dispatch lives, shared by the sequential and
-// parallel grouping paths.
-func accumulate(acc agg.Accumulator, v Value, resolve NumericResolver) {
-	switch v.Kind {
-	case TermValue:
-		if resolve != nil {
-			num, ok := resolve(v.ID)
-			acc.Add(v.ID, num, ok)
-		} else {
-			acc.Add(v.ID, 0, false)
-		}
-	case NumValue:
-		acc.Add(dict.NoID, v.Num, true)
-	case KeyValue:
-		acc.Add(dict.ID(v.Key), float64(v.Key), true)
-	}
-}
-
-// finishGroups renders the accumulated groups, dropping empty results.
-func finishGroups(groupCols []string, aggCol string, order []*group) *Relation {
+	cells := r.group(gIdx, r.MustColumn(valueCol), f, resolve)
 	out := NewRelation(append(append([]string(nil), groupCols...), aggCol)...)
-	out.Rows = make([]Row, 0, len(order))
-	for _, g := range order {
-		v, ok := g.acc.Result()
-		if !ok {
-			continue
+	out.Rows = make([]Row, 0, len(cells))
+	for i := range cells {
+		if row, ok := cells[i].row(r.Rows, gIdx); ok {
+			out.Rows = append(out.Rows, row)
 		}
-		out.Rows = append(out.Rows, append(append(make(Row, 0, len(g.repr)+1), g.repr...), NumV(v)))
 	}
 	return out
 }

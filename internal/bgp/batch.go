@@ -14,9 +14,9 @@ package bgp
 // The pipeline preserves input order everywhere and appends each step's
 // bindings in sorted order, so the output obeys the plan-time sort
 // property (planSorted): rows are strictly lexicographically ordered by
-// the binding order of the variables. Projection and aggregation
-// exploit that downstream (project.go, algebra) by replacing hash
-// deduplication with run detection or skipping it entirely.
+// the binding order of the variables. DISTINCT projection exploits that
+// (project.go) by replacing hash deduplication with run detection or
+// skipping it entirely.
 //
 // Worker fan-out mirrors the row engine: seed batches are partitioned
 // into contiguous runs, each worker executes the remaining steps over

@@ -57,8 +57,8 @@ type Result struct {
 	// Sorted names the variables the rows are lexicographically ordered
 	// by, in significance order. Nil when the engine makes no ordering
 	// claim (row pipeline, unfrozen stores). Set by the batch engine and
-	// propagated through projection so deduplication and grouping can
-	// run-detect instead of hashing.
+	// propagated through projection, so DISTINCT can run-detect or skip
+	// deduplication instead of hashing.
 	Sorted []string
 	// Strict reports that no two rows agree on all Sorted variables —
 	// the rows are distinct tuples over them.

@@ -239,8 +239,7 @@ func checkPresSchema(q *Query, rel *algebra.Relation) error {
 
 // resultToRelation converts a BGP result into a TermValue relation.
 // Rows are carved from one flat cell block: two allocations total
-// instead of one per row. The engine's sort property carries over, so
-// downstream δ and γ can run-detect instead of hashing.
+// instead of one per row.
 func resultToRelation(res *bgp.Result) *algebra.Relation {
 	rel := algebra.NewRelation(res.Vars...)
 	rel.Rows = make([]algebra.Row, len(res.Rows))
@@ -253,8 +252,6 @@ func resultToRelation(res *bgp.Result) *algebra.Relation {
 		}
 		rel.Rows[i] = r
 	}
-	rel.Sorted = append([]string(nil), res.Sorted...)
-	rel.Strict = res.Strict
 	return rel
 }
 

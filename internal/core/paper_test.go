@@ -1,7 +1,9 @@
 package core
 
-// Golden tests reproducing every worked example of the paper
-// (experiments EX1–EX6 of DESIGN.md).
+// Golden tests reproducing the paper's worked examples 1–6: the blogger
+// query and its answer and measure bags (Examples 1–2), SLICE and the
+// drill-out/drill-in round trip (Example 3), DICE (Example 4), DRILL-OUT
+// and its double count (Example 5) and DRILL-IN (Example 6).
 
 import (
 	"sort"

@@ -109,8 +109,9 @@ func (e *Evaluator) DrillInRewrite(orig *Query, pres *algebra.Relation, newDim s
 // re-aggregate the already-aggregated measures with ⊕. For distributive
 // functions this silently double-counts facts that are multi-valued along
 // a dropped dimension; for non-distributive functions (avg) it is not
-// even definable and returns an error. Kept as the experimental foil for
-// the correctness ablation (experiment E6).
+// even definable and returns an error. Kept as the foil of
+// TestNaiveDrillOutDetectsMultiValued, which shows where it and
+// Algorithm 1 disagree.
 func NaiveDrillOutFromAns(orig *Query, ansQ *algebra.Relation, drop ...string) (*algebra.Relation, error) {
 	if !orig.Agg.Distributive() {
 		return nil, fmt.Errorf("core: naive drill-out undefined for non-distributive %s", orig.Agg.Name())

@@ -1,71 +1,38 @@
 package incr
 
 import (
-	"encoding/binary"
 	"slices"
 
-	"rdfcube/internal/agg"
 	"rdfcube/internal/algebra"
 	"rdfcube/internal/core"
 )
 
-// cube is ans(Q) (Equation 3) as one accumulator per cell. Insertion only
-// grows the bag a cell aggregates, and count, sum, min and max are
-// distributive, avg and count-distinct algebraic over their (sum, count)
-// and value set: fed the Δpres rows, the cells stay equal to γ over all
-// of pres(Q). They are held in first-seen order, empty ones included,
-// like γ, so the published relation is AnswerFromPres(pres) row for row.
+// cube is ans(Q) (Equation 3) kept live: an algebra.Cube over pres(Q)
+// that each application feeds its Δpres rows alone, published
+// copy-on-write. The cells are in first-seen order, empty ones included,
+// like γ's, so the published relation is AnswerFromPres(pres) row for row.
 type cube struct {
-	f       agg.Func
-	resolve algebra.NumericResolver
-	nd      int              // dimensions: pres columns 1..nd
-	index   map[string]int32 // dims tuple → cell
-	cells   []cell
-	last    int32 // highest cell with a published row, -1 if none
-	key     []byte
-	rel     *algebra.Relation // published ans(Q); replaced, never written
-}
-
-type cell struct {
-	dims algebra.Row
-	acc  agg.Accumulator
-	row  int32 // position in rel.Rows, -1 while acc is empty
+	cells *algebra.Cube
+	row   []int32           // cell → position in rel.Rows, -1 while the cell is empty
+	last  int               // highest cell with a published row, -1 if none
+	rel   *algebra.Relation // published ans(Q); replaced, never written
 }
 
 // newCube aggregates pres into a cube: one pass, like γ.
 func newCube(q *core.Query, pres *algebra.Relation, resolve algebra.NumericResolver) *cube {
+	dims := make([]int, len(q.Dims())) // pres columns 1..n
+	for i := range dims {
+		dims[i] = i + 1
+	}
 	cb := &cube{
-		f:       q.Agg,
-		resolve: resolve,
-		nd:      len(q.Dims()),
-		index:   map[string]int32{},
-		rel:     algebra.NewRelation(append(slices.Clone(q.Dims()), q.MeasureVar())...),
+		cells: algebra.NewCube(dims, len(pres.Cols)-1, q.Agg, resolve),
+		rel:   algebra.NewRelation(append(slices.Clone(q.Dims()), q.MeasureVar())...),
 	}
 	for _, row := range pres.Rows {
-		cb.feed(row)
+		cb.cells.Add(row)
 	}
 	cb.layout()
 	return cb
-}
-
-// feed adds one pres(Q) row (root, dims…, key, v) to its cell and
-// returns the cell.
-func (cb *cube) feed(row algebra.Row) int32 {
-	dims := row[1 : 1+cb.nd]
-	cb.key = cb.key[:0]
-	for _, d := range dims {
-		cb.key = binary.LittleEndian.AppendUint64(cb.key, uint64(d.ID))
-	}
-	i, ok := cb.index[string(cb.key)]
-	if !ok {
-		i = int32(len(cb.cells))
-		cb.index[string(cb.key)] = i
-		cb.cells = append(cb.cells, cell{dims: slices.Clone(dims), acc: cb.f.New(), row: -1})
-	}
-	v := row[len(row)-1].ID
-	num, numOK := cb.resolve(v)
-	cb.cells[i].acc.Add(v, num, numOK)
-	return i
 }
 
 // add feeds Δpres rows and publishes the result; it returns the number
@@ -74,23 +41,25 @@ func (cb *cube) feed(row algebra.Row) int32 {
 // was empty and is older than the last published one fills, which needs
 // a full layout.
 func (cb *cube) add(rows []algebra.Row) int {
-	var touched []int32
+	var touched []int
 	for _, row := range rows {
-		touched = append(touched, cb.feed(row))
+		touched = append(touched, cb.cells.Add(row))
 	}
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
+	for len(cb.row) < cb.cells.Len() {
+		cb.row = append(cb.row, -1)
+	}
 	out := slices.Grow(slices.Clone(cb.rel.Rows), len(touched))
 	for _, i := range touched {
-		c := &cb.cells[i]
-		v, ok := c.acc.Result()
+		row, ok := cb.cells.Row(i)
 		switch {
 		case !ok:
-		case c.row >= 0:
-			out[c.row] = c.render(v)
+		case cb.row[i] >= 0:
+			out[cb.row[i]] = row
 		case i > cb.last:
-			c.row, cb.last = int32(len(out)), i
-			out = append(out, c.render(v))
+			cb.row[i], cb.last = int32(len(out)), i
+			out = append(out, row)
 		default:
 			cb.layout()
 			return len(touched)
@@ -102,20 +71,14 @@ func (cb *cube) add(rows []algebra.Row) int {
 
 // layout publishes every non-empty cell, in first-seen order.
 func (cb *cube) layout() {
-	out := make([]algebra.Row, 0, len(cb.cells))
-	cb.last = -1
-	for i := range cb.cells {
-		c := &cb.cells[i]
-		c.row = -1
-		if v, ok := c.acc.Result(); ok {
-			c.row, cb.last = int32(len(out)), int32(i)
-			out = append(out, c.render(v))
+	out := make([]algebra.Row, 0, cb.cells.Len())
+	cb.row, cb.last = make([]int32, cb.cells.Len()), -1
+	for i := range cb.row {
+		cb.row[i] = -1
+		if row, ok := cb.cells.Row(i); ok {
+			cb.row[i], cb.last = int32(len(out)), i
+			out = append(out, row)
 		}
 	}
 	cb.rel = &algebra.Relation{Cols: cb.rel.Cols, Rows: out}
-}
-
-// render returns the cell's ans(Q) row: its dimension values, then v.
-func (c *cell) render(v float64) algebra.Row {
-	return append(append(make(algebra.Row, 0, len(c.dims)+1), c.dims...), algebra.NumV(v))
 }

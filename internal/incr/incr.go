@@ -220,7 +220,7 @@ func (mp *MaintainedPres) LastApply() ApplyStats { return mp.last }
 func (mp *MaintainedPres) Answer() (*algebra.Relation, error) {
 	if mp.ans == nil {
 		mp.ans = newCube(mp.q, mp.pres, mp.ev.ResolveNumeric)
-		mp.last.CellsTouched = len(mp.ans.cells)
+		mp.last.CellsTouched = mp.ans.cells.Len()
 	}
 	return mp.ans.rel, nil
 }
