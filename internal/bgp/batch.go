@@ -1,27 +1,31 @@
 package bgp
 
-// Batch-at-a-time execution: the default engine on a frozen store.
+// Batch-at-a-time execution: the one BGP engine, on every store.
 //
 // Operators exchange fixed-capacity column-major chunks (batch) instead
 // of single rows. The seed stage bulk-copies straight out of the frozen
-// permutation columns when it can (store.PatternColumns) and falls back
-// to the merged base+delta iterator otherwise; join steps consume and
-// emit batches; the stream operator (plan.go) replaces per-row nested
-// probes with one shared cursor per batch — the batch's key values are
-// visited in sorted order, the cursor gallops between them, and each
-// key's tail run is enumerated once and fanned back out in input order.
+// permutation columns when it can (store.PatternColumnRange) and falls
+// back to the store's iterator otherwise — the merged base+delta ranges
+// of a frozen store, the nested maps of an unfrozen one. Join steps
+// consume and emit batches; the stream operator (plan.go) replaces
+// per-row nested probes with one shared cursor per batch — the batch's
+// key values are visited in sorted order, the cursor gallops between
+// them, and each key's tail run is enumerated once and fanned back out
+// in input order.
 //
 // The pipeline preserves input order everywhere and appends each step's
-// bindings in sorted order, so the output obeys the plan-time sort
-// property (planSorted): rows are strictly lexicographically ordered by
-// the binding order of the variables. DISTINCT projection exploits that
-// (project.go) by replacing hash deduplication with run detection or
-// skipping it entirely.
+// bindings in sorted order, so on a frozen store the output obeys the
+// plan-time sort property (planSorted): rows are strictly
+// lexicographically ordered by the binding order of the variables.
+// DISTINCT projection exploits that (project.go) by replacing hash
+// deduplication with run detection or skipping it entirely. On an
+// unfrozen store the probes iterate the nested maps in Go map order, so
+// the result claims no order.
 //
-// Worker fan-out mirrors the row engine: seed batches are partitioned
-// into contiguous runs, each worker executes the remaining steps over
-// its run, and the per-worker outputs are concatenated in order —
-// deterministic, and order-preserving so the sort property survives.
+// Worker fan-out: seed batches are partitioned into contiguous runs,
+// each worker executes the remaining steps over its run, and the
+// per-worker outputs are concatenated in order — deterministic, and
+// order-preserving so the sort property survives.
 
 import (
 	"context"
@@ -109,17 +113,22 @@ func batchesToRows(bs []*batch, nv int) [][]dict.ID {
 }
 
 // evalBatch runs the batch pipeline: seed stage, worker fan-out over
-// contiguous seed-batch runs, ordered concatenation. The result carries
-// the plan's sort property.
+// contiguous seed-batch runs, ordered concatenation. On a frozen store
+// the result carries the plan's sort property.
 func evalBatch(ctx context.Context, st *store.Store, compiled []compiledPattern, vars []string, steps []planStep, stats []stepStat, span *obs.Span) (*Result, error) {
 	nv := len(vars)
-	order, strict := planSorted(compiled, steps, nv)
-	sortedNames := make([]string, len(order))
-	for i, v := range order {
-		sortedNames[i] = vars[v]
-	}
-	if span != nil {
-		span.Attr("sorted", sortedLabel(order, strict, vars))
+	var sortedNames []string
+	var strict bool
+	if st.IsFrozen() {
+		var order []int
+		order, strict = planSorted(compiled, steps, nv)
+		sortedNames = make([]string, len(order))
+		for i, v := range order {
+			sortedNames[i] = vars[v]
+		}
+		if span != nil {
+			span.Attr("sorted", sortedLabel(order, strict, vars))
+		}
 	}
 	mk := func(bs []*batch) *Result {
 		return &Result{Vars: vars, Rows: batchesToRows(bs, nv), Sorted: sortedNames, Strict: strict}
@@ -286,8 +295,16 @@ func evalBatch(ctx context.Context, st *store.Store, compiled []compiledPattern,
 }
 
 // batchChunk runs the remaining pipeline steps over one contiguous run
-// of seed batches. Statistics and cancellation follow joinChunk's
-// contract (flush per step, poll per cancelCheckRows rows).
+// of seed batches. New rows go to a fresh batch list per step; the input
+// batches are never mutated. Cancellation is polled once per
+// cancelCheckRows scanned rows; a cancelled chunk returns its partial
+// output and the caller discards it after checking ctx.
+//
+// stats, when non-nil, receives per-step execution counts (indexed
+// stats[k+1] — slot 0 is the seed step). Accounting accumulates in
+// plain locals and flushes into the shared atomics once per step, so
+// tracing adds nothing to the per-row path beyond the local bumps; a
+// cancelled chunk flushes what it has before bailing.
 func batchChunk(ctx context.Context, st *store.Store, compiled []compiledPattern, nv int, rest []planStep, boundStages [][]bool, current []*batch, stats []stepStat) []*batch {
 	scratch := make([]dict.ID, nv)
 	var cursors []store.Cursor

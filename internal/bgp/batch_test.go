@@ -13,6 +13,7 @@ import (
 
 	"rdfcube/internal/dict"
 	"rdfcube/internal/sparql"
+	"rdfcube/internal/store"
 )
 
 // streamShapes target the stream-step specialization: after the seed
@@ -29,8 +30,9 @@ var streamShapes = []struct{ name, query string }{
 }
 
 // TestBatchStreamDifferential: the stream shapes must be byte-identical
-// across the batch engine, the row pipeline and the nested reference,
-// on frozen-only and frozen+delta stores, set and bag semantics.
+// across the default plan, the nested reference and the brute-force
+// enumerator, on frozen-only and frozen+delta stores, set and bag
+// semantics.
 func TestBatchStreamDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	for trial := 0; trial < 10; trial++ {
@@ -66,50 +68,70 @@ func TestBatchStreamPlans(t *testing.T) {
 	}
 }
 
-// TestBatchSortedProperty: the batch engine must deliver rows already
-// sorted by the order it declares in Result.Sorted — strictly, when it
-// claims Strict — without any post-hoc SortRows.
+// TestBatchSortedProperty: on a frozen store the pipeline must deliver
+// rows already sorted by the order it declares in Result.Sorted —
+// strictly, when it claims Strict — without any post-hoc SortRows,
+// under the default and the nested-loop plan alike. On a map-indexed
+// store the probes iterate in Go map order, so the result must declare
+// no order at all.
 func TestBatchSortedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	st := diffGraph(rng, 500, false)
+	ts := diffTriples(rng, 500)
+	stores := []struct {
+		name string
+		st   *store.Store
+	}{
+		{"frozen", frozenGraph(ts, false)},
+		{"frozen+delta", frozenGraph(ts, true)},
+		{"maps", thawedGraph(ts)},
+	}
 	queries := []string{
 		"q(x, y, z) :- x :next y, y :next z",
 		"q(x, w) :- x :a0 :v0, x :a1 :v1, x :a2 w",
 		"q(x) :- x :a0 :v0, x :a1 :v1",
 		"q(x, y) :- x :a0 :v0, x :a1 :v1, y :a2 :v2, y :a3 :v3",
 	}
-	for _, src := range queries {
-		q := sparql.MustParseDatalog(src, px())
-		for _, bag := range []bool{false, true} {
-			res, err := Eval(st, q, Options{Distinct: !bag})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Sorted) == 0 {
-				t.Fatalf("%s bag=%v: batch result declares no sort property", src, bag)
-			}
-			cols := make([]int, len(res.Sorted))
-			for i, v := range res.Sorted {
-				cols[i] = -1
-				for j, hv := range res.Vars {
-					if hv == v {
-						cols[i] = j
-						break
+	for _, s := range stores {
+		for _, src := range queries {
+			q := sparql.MustParseDatalog(src, px())
+			for _, bag := range []bool{false, true} {
+				for _, nested := range []bool{false, true} {
+					label := fmt.Sprintf("%s %s bag=%v nested=%v", s.name, src, bag, nested)
+					res, err := Eval(s.st, q, Options{Distinct: !bag, ForceNestedLoop: nested})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if cols[i] < 0 {
-					t.Fatalf("%s bag=%v: sorted var %q not among result vars %v", src, bag, v, res.Vars)
+					checkDeclaredOrder(t, label, s.st.IsFrozen(), res)
 				}
 			}
-			for i := 1; i < res.Len(); i++ {
-				c := compareOn(res.Rows[i-1], res.Rows[i], cols)
-				if c > 0 {
-					t.Fatalf("%s bag=%v: rows %d,%d out of declared order %v", src, bag, i-1, i, res.Sorted)
-				}
-				if c == 0 && res.Strict {
-					t.Fatalf("%s bag=%v: equal keys at rows %d,%d despite Strict", src, bag, i-1, i)
-				}
-			}
+		}
+	}
+}
+
+// checkDeclaredOrder asserts res declares a sort property exactly when
+// frozen, and that its rows obey whatever it declares.
+func checkDeclaredOrder(t *testing.T, label string, frozen bool, res *Result) {
+	t.Helper()
+	if frozen && len(res.Sorted) == 0 {
+		t.Fatalf("%s: frozen-store result declares no sort property", label)
+	}
+	if !frozen && (res.Sorted != nil || res.Strict) {
+		t.Fatalf("%s: map-store result claims order %v (strict=%v)", label, res.Sorted, res.Strict)
+	}
+	cols := make([]int, len(res.Sorted))
+	for i, v := range res.Sorted {
+		cols[i] = res.Column(v)
+		if cols[i] < 0 {
+			t.Fatalf("%s: sorted var %q not among result vars %v", label, v, res.Vars)
+		}
+	}
+	for i := 1; i < res.Len(); i++ {
+		c := compareOn(res.Rows[i-1], res.Rows[i], cols)
+		if c > 0 {
+			t.Fatalf("%s: rows %d,%d out of declared order %v", label, i-1, i, res.Sorted)
+		}
+		if c == 0 && res.Strict {
+			t.Fatalf("%s: equal keys at rows %d,%d despite Strict", label, i-1, i)
 		}
 	}
 }

@@ -29,47 +29,50 @@ func crossQuery() *sparql.Query {
 }
 
 func TestEvalCtxPreCancelled(t *testing.T) {
-	st := crossGraph(2000)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	_, err := EvalSetCtx(ctx, st, crossQuery())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("cancelled eval took %v; cooperative checks not firing", el)
-	}
+	onBothStores(t, crossGraph(2000), func(t *testing.T, st *store.Store) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		start := time.Now()
+		_, err := EvalSetCtx(ctx, st, crossQuery())
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("cancelled eval took %v; cooperative checks not firing", el)
+		}
+	})
 }
 
 func TestEvalCtxDeadline(t *testing.T) {
-	st := crossGraph(2000)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := EvalSetCtx(ctx, st, crossQuery())
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("deadline eval took %v; cooperative checks not firing", el)
-	}
+	onBothStores(t, crossGraph(2000), func(t *testing.T, st *store.Store) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := EvalSetCtx(ctx, st, crossQuery())
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("deadline eval took %v; cooperative checks not firing", el)
+		}
+	})
 }
 
 // A background context must not change results: ctx plumbing is free when
 // unused.
 func TestEvalCtxBackgroundMatchesEval(t *testing.T) {
-	st := crossGraph(40)
 	q := crossQuery()
-	plain, err := EvalSet(st, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := EvalSetCtx(context.Background(), st, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Len() != 40*40 || ctxed.Len() != plain.Len() {
-		t.Fatalf("rows: plain %d ctx %d, want %d", plain.Len(), ctxed.Len(), 40*40)
-	}
+	onBothStores(t, crossGraph(40), func(t *testing.T, st *store.Store) {
+		plain, err := EvalSet(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxed, err := EvalSetCtx(context.Background(), st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Len() != 40*40 || ctxed.Len() != plain.Len() {
+			t.Fatalf("rows: plain %d ctx %d, want %d", plain.Len(), ctxed.Len(), 40*40)
+		}
+	})
 }

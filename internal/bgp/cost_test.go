@@ -1,11 +1,11 @@
 package bgp
 
 // Cost-accounting differential: the per-query obs.Cost flushed by every
-// engine (batch, row pipeline, nested-loop reference) must agree on the
-// engine-invariant numbers — rows produced and bytes materialized — for
-// each shape of the differential matrix, and the engine-dependent
-// counters (scans, seeks) must be populated wherever the engine touches
-// the store at all.
+// way of running a query (default plan, nested-loop reference plan, the
+// pipeline over a map-indexed store) must agree on the plan-invariant
+// numbers — rows produced and bytes materialized — for each shape of the
+// differential matrix, and the plan-dependent counters (scans, seeks)
+// must be populated wherever evaluation touches the store at all.
 
 import (
 	"fmt"
@@ -30,26 +30,29 @@ func evalCost(t *testing.T, st *store.Store, q *sparql.Query, opts Options) (*Re
 }
 
 // TestCostDifferentialShapes: over the 8-shape matrix, frozen-only and
-// frozen+delta, all three engines report the same rows-produced and
-// bytes-materialized, matching the actual result, and each engine that
-// reads the store reports nonzero rows-scanned.
+// frozen+delta, the default plan, the nested-loop reference and the
+// pipeline over a thawed twin of the same triples report the same
+// rows-produced and bytes-materialized, matching the actual result, and
+// each leg reads the store and reports nonzero rows-scanned.
 func TestCostDifferentialShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for _, split := range []bool{false, true} {
-		st := diffGraph(rng, 300, split)
+		ts := diffTriples(rng, 300)
+		st := frozenGraph(ts, split)
+		thawed := thawedGraph(ts)
 		for _, shape := range diffShapes {
 			q := sparql.MustParseDatalog(shape.query, px())
 			label := fmt.Sprintf("split=%v %s", split, shape.name)
 
 			batchRes, batch := evalCost(t, st, q, Options{Distinct: true})
-			rowRes, row := evalCost(t, st, q, Options{Distinct: true, RowPipeline: true})
+			mapsRes, mapc := evalCost(t, thawed, q, Options{Distinct: true})
 			nestRes, nest := evalCost(t, st, q, Options{Distinct: true, ForceNestedLoop: true})
 
 			for _, e := range []struct {
 				engine string
 				res    *Result
 				snap   obs.CostSnapshot
-			}{{"batch", batchRes, batch}, {"row", rowRes, row}, {"nested", nestRes, nest}} {
+			}{{"batch", batchRes, batch}, {"maps", mapsRes, mapc}, {"nested", nestRes, nest}} {
 				if e.snap.RowsProduced != int64(e.res.Len()) {
 					t.Errorf("%s/%s: RowsProduced = %d, result has %d rows",
 						label, e.engine, e.snap.RowsProduced, e.res.Len())
@@ -64,13 +67,13 @@ func TestCostDifferentialShapes(t *testing.T) {
 						label, e.engine, 300)
 				}
 			}
-			if batch.RowsProduced != row.RowsProduced || row.RowsProduced != nest.RowsProduced {
-				t.Errorf("%s: RowsProduced disagree: batch=%d row=%d nested=%d",
-					label, batch.RowsProduced, row.RowsProduced, nest.RowsProduced)
+			if batch.RowsProduced != mapc.RowsProduced || mapc.RowsProduced != nest.RowsProduced {
+				t.Errorf("%s: RowsProduced disagree: batch=%d maps=%d nested=%d",
+					label, batch.RowsProduced, mapc.RowsProduced, nest.RowsProduced)
 			}
-			if batch.Bytes != row.Bytes || row.Bytes != nest.Bytes {
-				t.Errorf("%s: Bytes disagree: batch=%d row=%d nested=%d",
-					label, batch.Bytes, row.Bytes, nest.Bytes)
+			if batch.Bytes != mapc.Bytes || mapc.Bytes != nest.Bytes {
+				t.Errorf("%s: Bytes disagree: batch=%d maps=%d nested=%d",
+					label, batch.Bytes, mapc.Bytes, nest.Bytes)
 			}
 		}
 	}

@@ -46,8 +46,13 @@ func diffTriples(rng *rand.Rand, n int) []rdf.Triple {
 // land before Freeze (the frozen base), half after (the delta overlay)
 // when split is true.
 func diffGraph(rng *rand.Rand, n int, split bool) *store.Store {
+	return frozenGraph(diffTriples(rng, n), split)
+}
+
+// frozenGraph loads ts into a frozen store; with split, the second half
+// lands after Freeze, in the delta overlay.
+func frozenGraph(ts []rdf.Triple, split bool) *store.Store {
 	st := store.New()
-	ts := diffTriples(rng, n)
 	cut := len(ts)
 	if split {
 		cut = len(ts) / 2
@@ -57,6 +62,17 @@ func diffGraph(rng *rand.Rand, n int, split bool) *store.Store {
 	}
 	st.Freeze()
 	for _, tr := range ts[cut:] {
+		st.Add(tr)
+	}
+	return st
+}
+
+// thawedGraph loads ts into a map-indexed store that is never frozen:
+// the twin of frozenGraph's store, down to the term IDs (the dictionary
+// numbers terms in insertion order).
+func thawedGraph(ts []rdf.Triple) *store.Store {
+	st := store.New()
+	for _, tr := range ts {
 		st.Add(tr)
 	}
 	return st
@@ -75,11 +91,12 @@ var diffShapes = []struct{ name, query string }{
 	{"self-loop", "q(x) :- x :a0 x, x :a1 :v1"},
 }
 
-// evalBoth evaluates q under the default engine (the batch pipeline on
-// frozen stores), the pinned row pipeline, and the nested-loop
-// reference — all canonically sorted. The default and row-pipeline
-// results are asserted identical here, so every differential test in
-// the package is automatically a three-way engine comparison.
+// evalBoth evaluates q under the default plan and under the nested-loop
+// reference plan, both canonically sorted. The default result is also
+// asserted identical to the brute-force enumerator's (naiveEval), a leg
+// that shares none of the pipeline's seed, fan-out or materialization
+// code, so every differential test in the package is a three-way
+// comparison.
 func evalBoth(t *testing.T, st *store.Store, q *sparql.Query, bag bool) (*Result, *Result) {
 	t.Helper()
 	opts := Options{Distinct: !bag}
@@ -87,21 +104,14 @@ func evalBoth(t *testing.T, st *store.Store, q *sparql.Query, bag bool) (*Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.RowPipeline = true
-	row, err := Eval(st, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.RowPipeline = false
 	opts.ForceNestedLoop = true
 	ref, err := Eval(st, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur.SortRows()
-	row.SortRows()
 	ref.SortRows()
-	requireIdentical(t, "batch-vs-row-pipeline", cur, row)
+	requireIdentical(t, "pipeline-vs-brute-force", cur, naiveEval(t, st, q, !bag))
 	return cur, ref
 }
 
@@ -116,7 +126,7 @@ func requireIdentical(t *testing.T, label string, cur, ref *Result) {
 		}
 	}
 	if cur.Len() != ref.Len() {
-		t.Fatalf("%s: %d rows vs %d (nested)", label, cur.Len(), ref.Len())
+		t.Fatalf("%s: %d rows vs %d (reference)", label, cur.Len(), ref.Len())
 	}
 	for i := range cur.Rows {
 		if !idRowsEqual(cur.Rows[i], ref.Rows[i]) {
@@ -171,7 +181,7 @@ func renderRows(t *testing.T, st *store.Store, r *Result) []string {
 // TestMappedVsHeapDifferentialShapes runs the 8-shape matrix over the
 // SAME triples served two ways — heap columns and an mmap'd v3 snapshot
 // (tiny block and term caches, so every shape churns through eviction)
-// — on frozen-only and frozen+delta stores, all three engines. The
+// — on frozen-only and frozen+delta stores, every evalBoth leg. The
 // backing must be invisible: decoded results byte-identical.
 func TestMappedVsHeapDifferentialShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))

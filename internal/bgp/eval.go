@@ -4,12 +4,12 @@
 // store's ordered cursors — chosen per step by a greedy, statistics-
 // driven planner (plan.go).
 //
-// Evaluation is parallel and allocation-lean: the first step's output
-// (a pattern's matching range, or a cursor intersection) seeds the
-// pipeline, the seeds are partitioned across workers (one per CPU by
-// default), and each worker runs the remaining steps over its slice
-// with rows carved out of a per-worker chunked arena; worker buffers
-// are concatenated at the end. Join ordering uses bound-aware
+// One batch-at-a-time pipeline (batch.go) evaluates every BGP on every
+// store: the first step's output (a pattern's matching range, or a
+// cursor intersection) seeds the pipeline as columnar batches, the seed
+// batches are partitioned across workers (one per CPU by default), and
+// each worker runs the remaining steps over its run; worker outputs are
+// concatenated in order. Join ordering uses bound-aware
 // cardinality estimates fed by the store's offset directories (exact
 // range counts on a frozen store). Wide projections and distinct
 // filtering fan out the same way (project.go).
@@ -23,10 +23,7 @@ package bgp
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"rdfcube/internal/dict"
 	"rdfcube/internal/hash64"
@@ -55,10 +52,11 @@ type Result struct {
 	// Rows holds one dict.ID per column per row.
 	Rows [][]dict.ID
 	// Sorted names the variables the rows are lexicographically ordered
-	// by, in significance order. Nil when the engine makes no ordering
-	// claim (row pipeline, unfrozen stores). Set by the batch engine and
-	// propagated through projection, so DISTINCT can run-detect or skip
-	// deduplication instead of hashing.
+	// by, in significance order. Nil when evaluation makes no ordering
+	// claim: on an unfrozen store the nested maps iterate in Go map
+	// order, so rows come out grouped but not sorted. Set by the batch
+	// pipeline on a frozen store and propagated through projection, so
+	// DISTINCT can run-detect or skip deduplication instead of hashing.
 	Sorted []string
 	// Strict reports that no two rows agree on all Sorted variables —
 	// the rows are distinct tuples over them.
@@ -136,14 +134,10 @@ type Options struct {
 	// results.
 	KeepAllVars bool
 	// ForceNestedLoop pins every join step to the index-nested-loop
-	// operator, bypassing the cursor-based merge and leapfrog joins.
-	// The reference path for differential tests and benchmarks of the
-	// join engine.
+	// operator, bypassing the cursor-based merge, leapfrog and stream
+	// operators. The reference plan for differential tests and
+	// benchmarks of the join operators.
 	ForceNestedLoop bool
-	// RowPipeline pins the row-at-a-time pipeline (the pre-batch
-	// engine) while keeping the cursor-based operators. Baseline for
-	// batch-engine benchmarks and a secondary differential reference.
-	RowPipeline bool
 }
 
 // Eval evaluates q against st under opts.
@@ -176,7 +170,7 @@ func EvalCtx(ctx context.Context, st *store.Store, q *sparql.Query, opts Options
 		return nil, err
 	}
 	// Rows produced is the query's final row count — after projection
-	// and DISTINCT — so it is invariant across engines (the cost
+	// and DISTINCT — so it is invariant across plans and stores (the cost
 	// differential tests pin this). Bytes is the materialized footprint
 	// of those rows at 8 bytes per dictionary ID.
 	if cost := obs.CostFromContext(ctx); cost != nil {
@@ -209,10 +203,10 @@ func EvalBagCtx(ctx context.Context, st *store.Store, q *sparql.Query) (*Result,
 }
 
 // evalBody computes all embeddings of the body patterns. The returned
-// result has one column per body variable. On a frozen store the batch
-// engine (batch.go) runs by default; ForceNestedLoop and RowPipeline
-// pin the row-at-a-time pipeline below (ForceNestedLoop additionally
-// downgrades every step to a nested probe, including stream steps).
+// result has one column per body variable. Every store, frozen or not,
+// runs the batch pipeline (batch.go); the store only shapes the plan —
+// cursor operators need the frozen permutations — and ForceNestedLoop
+// downgrades every step to a nested probe.
 func evalBody(ctx context.Context, st *store.Store, patterns []sparql.TriplePattern, opts Options) (res *Result, err error) {
 	if len(patterns) == 0 {
 		return &Result{}, nil
@@ -240,9 +234,8 @@ func evalBody(ctx context.Context, st *store.Store, patterns []sparql.TriplePatt
 	steps := planPipeline(st, compiled, nv, opts.ForceNestedLoop)
 
 	// Per-step execution stats exist only under an active trace or cost
-	// accumulator; nil stats short-circuit every accounting site below.
-	// Both engines account into the same stats, so one deferred flush
-	// covers the batch engine's early return path too (res is named).
+	// accumulator; nil stats short-circuit every accounting site in the
+	// pipeline.
 	cost := obs.CostFromContext(ctx)
 	var stats []stepStat
 	if span != nil || cost != nil {
@@ -255,147 +248,7 @@ func evalBody(ctx context.Context, st *store.Store, patterns []sparql.TriplePatt
 		}
 	}
 
-	if !opts.ForceNestedLoop && !opts.RowPipeline && st.IsFrozen() {
-		if span != nil {
-			span.Attr("engine", "batch")
-		}
-		return evalBatch(ctx, st, compiled, vars, steps, stats, span)
-	}
-	if span != nil {
-		span.Attr("engine", "rows")
-	}
-
-	// Stage 0: materialize the first step's output as seed rows — the
-	// first pattern's matching range, or the sorted intersection of a
-	// cursor group (which seeds the pipeline already ordered by the
-	// group's join variable).
-	zeroRow := make([]dict.ID, nv)
-	bound0 := make([]bool, nv)
-	seedArena := newRowArena(nv)
-	var seeds [][]dict.ID
-	first := steps[0]
-	var seedStart time.Time
-	if stats != nil {
-		seedStart = time.Now()
-	}
-	seedScanned := 0
-	if first.kind == opNested {
-		fp := &compiled[first.pats[0]]
-		pat0, checks0 := fp.instantiate(zeroRow, bound0)
-		if st.IsFrozen() {
-			seeds = make([][]dict.ID, 0, st.Count(pat0)) // exact, O(log n)
-		}
-		st.ForEach(pat0, func(t store.IDTriple) bool {
-			seedScanned++
-			if seedScanned&(cancelCheckRows-1) == 0 && ctx.Err() != nil {
-				return false
-			}
-			if !fp.accepts(t, zeroRow, bound0, checks0) {
-				return true
-			}
-			nr := seedArena.newRow()
-			fp.bind(t, nr)
-			seeds = append(seeds, nr)
-			return true
-		})
-	} else {
-		cursors := make([]store.Cursor, len(first.pats))
-		if openGroupCursors(st, compiled, first, zeroRow, bound0, cursors) {
-			emit := func(key dict.ID) {
-				nr := seedArena.newRow() // arena rows start zeroed
-				nr[first.joinVar] = key
-				seeds = append(seeds, nr)
-			}
-			if first.kind == opMerge {
-				mergeJoin(&cursors[0], &cursors[1], emit)
-			} else {
-				leapfrogJoin(cursors, emit)
-			}
-			if stats != nil {
-				stats[0].addCursorCounts(cursors)
-			}
-		}
-	}
-	if stats != nil {
-		stats[0].busyNs.Add(time.Since(seedStart).Nanoseconds())
-		stats[0].rows.Add(int64(len(seeds)))
-		stats[0].scanned.Add(int64(seedScanned))
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	rest := steps[1:]
-	if len(rest) == 0 || len(seeds) == 0 {
-		return &Result{Vars: vars, Rows: seeds}, nil
-	}
-
-	// The bound-variable state entering each join step depends only on
-	// the plan, so the per-step states are computed once and shared
-	// read-only by every worker.
-	boundStages := make([][]bool, len(rest))
-	cur := make([]bool, nv)
-	markStepBound(compiled, first, cur)
-	for k, stp := range rest {
-		boundStages[k] = append([]bool(nil), cur...)
-		markStepBound(compiled, stp, cur)
-	}
-
-	// An explicit Workers setting is honored as-is (tests, tuning); the
-	// default caps fan-out so each worker gets a meaningful seed slice.
-	nw := Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-		if max := len(seeds) / seedsPerWorker; nw > max {
-			nw = max
-		}
-	}
-	if nw > len(seeds) {
-		nw = len(seeds)
-	}
-	if nw <= 1 {
-		rows := joinChunk(ctx, st, compiled, rest, boundStages, seeds, seedArena, stats)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &Result{Vars: vars, Rows: rows}, nil
-	}
-
-	// Partition the seeds into contiguous chunks, one worker each, with
-	// per-worker arenas and result buffers; concatenation preserves seed
-	// order, keeping output deterministic for a given plan.
-	parts := make([][][]dict.ID, nw)
-	var wg sync.WaitGroup
-	chunk := (len(seeds) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w] = joinChunk(ctx, st, compiled, rest, boundStages, seeds[lo:hi], newRowArena(nv), stats)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	rows := make([][]dict.ID, 0, total)
-	for _, p := range parts {
-		rows = append(rows, p...)
-	}
-	return &Result{Vars: vars, Rows: rows}, nil
+	return evalBatch(ctx, st, compiled, vars, steps, stats, span)
 }
 
 // markStepBound records the variables a step binds.
@@ -403,113 +256,6 @@ func markStepBound(compiled []compiledPattern, stp planStep, bound []bool) {
 	for _, pi := range stp.pats {
 		compiled[pi].markBound(bound)
 	}
-}
-
-// joinChunk runs the remaining pipeline steps over one slice of seed
-// rows: nested-loop probes per pattern, and per-row cursor
-// intersections for merge/leapfrog groups. New rows come from the
-// arena; the input rows are never mutated. Cancellation is polled once
-// per cancelCheckRows scanned rows; a cancelled chunk returns its
-// partial output and the caller discards it after checking ctx.
-//
-// stats, when non-nil, receives per-step execution counts (indexed
-// stats[k+1] — slot 0 is the seed step). Accounting accumulates in
-// plain locals and flushes into the shared atomics once per step, so
-// tracing adds nothing to the per-row path beyond the local bumps; a
-// cancelled chunk flushes what it has before bailing.
-func joinChunk(ctx context.Context, st *store.Store, compiled []compiledPattern, rest []planStep, boundStages [][]bool, current [][]dict.ID, ar *rowArena, stats []stepStat) [][]dict.ID {
-	var cursors []store.Cursor // reused across rows and steps
-	scanned := 0
-	cancelled := func() bool {
-		scanned++
-		return scanned&(cancelCheckRows-1) == 0 && ctx.Err() != nil
-	}
-	for k, stp := range rest {
-		bound := boundStages[k]
-		next := make([][]dict.ID, 0, len(current))
-		var stepStart time.Time
-		scannedBefore := scanned
-		var stepSeeks, stepNexts int64
-		if stats != nil {
-			stepStart = time.Now()
-		}
-		flush := func() {
-			if stats == nil {
-				return
-			}
-			ss := &stats[k+1]
-			ss.busyNs.Add(time.Since(stepStart).Nanoseconds())
-			ss.rows.Add(int64(len(next)))
-			ss.scanned.Add(int64(scanned - scannedBefore))
-			ss.seeks.Add(stepSeeks)
-			ss.nexts.Add(stepNexts)
-		}
-		if stp.kind == opNested || stp.kind == opStream {
-			// Stream steps are a batch-engine specialization of the
-			// nested probe; the row pipeline executes them as such.
-			cp := &compiled[stp.pats[0]]
-			for _, row := range current {
-				pat, checks := cp.instantiate(row, bound)
-				abort := false
-				st.ForEach(pat, func(t store.IDTriple) bool {
-					if cancelled() {
-						abort = true
-						return false
-					}
-					if !cp.accepts(t, row, bound, checks) {
-						return true
-					}
-					nr := ar.newRow()
-					copy(nr, row)
-					cp.bind(t, nr)
-					next = append(next, nr)
-					return true
-				})
-				if abort {
-					flush()
-					return next
-				}
-			}
-		} else {
-			if cap(cursors) < len(stp.pats) {
-				cursors = make([]store.Cursor, len(stp.pats))
-			}
-			cs := cursors[:len(stp.pats)]
-			for _, row := range current {
-				if cancelled() {
-					flush()
-					return next
-				}
-				if !openGroupCursors(st, compiled, stp, row, bound, cs) {
-					continue
-				}
-				emit := func(key dict.ID) {
-					nr := ar.newRow()
-					copy(nr, row)
-					nr[stp.joinVar] = key
-					next = append(next, nr)
-				}
-				if stp.kind == opMerge {
-					mergeJoin(&cs[0], &cs[1], emit)
-				} else {
-					leapfrogJoin(cs, emit)
-				}
-				if stats != nil {
-					for i := range cs {
-						s, n := cs[i].Counts()
-						stepSeeks += s
-						stepNexts += n
-					}
-				}
-			}
-		}
-		flush()
-		current = next
-		if len(current) == 0 {
-			break
-		}
-	}
-	return current
 }
 
 // compiledPattern is a triple pattern with constants resolved to IDs and

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -167,14 +168,19 @@ func TestRepeatedVariableInPattern(t *testing.T) {
 	st.Add(rdf.NewTriple(iri("a"), iri("p"), iri("a"))) // self loop
 	st.Add(rdf.NewTriple(iri("a"), iri("p"), iri("b")))
 	st.Add(rdf.NewTriple(iri("b"), iri("p"), iri("b"))) // self loop
+	// Without the x = x check, c p d would bind x = d: a wrong answer
+	// that, unlike a p b's x = b, no right answer masks.
+	st.Add(rdf.NewTriple(iri("c"), iri("p"), iri("d")))
 	q := sparql.MustParseDatalog("q(x) :- x :p x", px())
-	res, err := EvalSet(st, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 2 {
-		t.Fatalf("self-loop query matched %d, want 2", res.Len())
-	}
+	onBothStores(t, st, func(t *testing.T, st *store.Store) {
+		res, err := EvalSet(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 2 {
+			t.Fatalf("self-loop query matched %d, want 2", res.Len())
+		}
+	})
 }
 
 func TestRepeatedVariableBoundFirst(t *testing.T) {
@@ -184,13 +190,28 @@ func TestRepeatedVariableBoundFirst(t *testing.T) {
 	st.Add(rdf.NewTriple(iri("b"), iri("p"), iri("c")))
 	// x bound by the first pattern, then x :p x must check both positions.
 	q := sparql.MustParseDatalog("q(x) :- x :q a2, x :p x", px())
-	res, err := EvalSet(st, q)
-	if err != nil {
-		t.Fatal(err)
+	onBothStores(t, st, func(t *testing.T, st *store.Store) {
+		res, err := EvalSet(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 {
+			t.Fatalf("matched %d, want 1", res.Len())
+		}
+	})
+}
+
+// onBothStores runs check against st as built — map-indexed — and again
+// after freezing it, one subtest each: the same pipeline serves both,
+// over different iterators and plans.
+func onBothStores(t *testing.T, st *store.Store, check func(t *testing.T, st *store.Store)) {
+	t.Helper()
+	if st.IsFrozen() {
+		t.Fatal("onBothStores needs an unfrozen store")
 	}
-	if res.Len() != 1 {
-		t.Fatalf("matched %d, want 1", res.Len())
-	}
+	t.Run("maps", func(t *testing.T) { check(t, st) })
+	st.Freeze()
+	t.Run("frozen", func(t *testing.T) { check(t, st) })
 }
 
 func TestCrossProduct(t *testing.T) {
@@ -226,61 +247,153 @@ func TestKeepAllVars(t *testing.T) {
 	}
 }
 
-// TestEvalAgainstNaive cross-checks the evaluator against a brute-force
-// enumerator on random graphs and random 2–3 pattern queries.
+// naiveEval is the brute-force reference evaluator: it enumerates every
+// embedding of q's body by trying each stored triple against one
+// pattern after another, binding variables through a map, then projects
+// onto the head under set (distinct) or bag semantics. It shares no code
+// with the planner or the pipeline, so a bug common to every plan the
+// pipeline runs still shows up against it. Rows come back canonically
+// sorted.
+func naiveEval(t *testing.T, st *store.Store, q *sparql.Query, distinct bool) *Result {
+	t.Helper()
+	out := &Result{Vars: append([]string(nil), q.Head...)}
+	consts := make([][3]dict.ID, len(q.Patterns))
+	for i, tp := range q.Patterns {
+		for k, n := range [3]sparql.Node{tp.S, tp.P, tp.O} {
+			if n.IsVar() {
+				continue
+			}
+			id, ok := st.Dict().Lookup(n.Term)
+			if !ok {
+				return out // an unknown constant matches nothing
+			}
+			consts[i][k] = id
+		}
+	}
+	var triples []store.IDTriple
+	st.ForEach(store.Pattern{}, func(tr store.IDTriple) bool {
+		triples = append(triples, tr)
+		return true
+	})
+	// unify extends b with the bindings that make pattern i match tr; b
+	// itself is never written.
+	unify := func(i int, tr store.IDTriple, b map[string]dict.ID) (map[string]dict.ID, bool) {
+		tp := q.Patterns[i]
+		nb := b
+		for k, n := range [3]sparql.Node{tp.S, tp.P, tp.O} {
+			val := [3]dict.ID{tr.S, tr.P, tr.O}[k]
+			if !n.IsVar() {
+				if consts[i][k] != val {
+					return nil, false
+				}
+				continue
+			}
+			if old, ok := nb[n.Var]; ok {
+				if old != val {
+					return nil, false
+				}
+				continue
+			}
+			if len(nb) == len(b) {
+				nb = maps.Clone(b)
+			}
+			nb[n.Var] = val
+		}
+		return nb, true
+	}
+	// Patterns sharing the most variables with the bindings so far go
+	// first, which keeps the partial embeddings small; the set of full
+	// embeddings does not depend on the order.
+	used := make([]bool, len(q.Patterns))
+	var order []int
+	known := map[string]bool{}
+	for range q.Patterns {
+		best, bestScore := -1, -1
+		for i, tp := range q.Patterns {
+			if used[i] {
+				continue
+			}
+			score := 0
+			for _, n := range [3]sparql.Node{tp.S, tp.P, tp.O} {
+				if !n.IsVar() || known[n.Var] {
+					score++
+				}
+			}
+			if score > bestScore {
+				best, bestScore = i, score
+			}
+		}
+		used[best] = true
+		order = append(order, best)
+		for _, n := range [3]sparql.Node{q.Patterns[best].S, q.Patterns[best].P, q.Patterns[best].O} {
+			if n.IsVar() {
+				known[n.Var] = true
+			}
+		}
+	}
+	seen := map[string]bool{}
+	var walk func(level int, b map[string]dict.ID)
+	walk = func(level int, b map[string]dict.ID) {
+		if level == len(order) {
+			row := make([]dict.ID, len(q.Head))
+			for j, v := range q.Head {
+				row[j] = b[v]
+			}
+			if distinct {
+				key := fmt.Sprint(row)
+				if seen[key] {
+					return
+				}
+				seen[key] = true
+			}
+			out.Rows = append(out.Rows, row)
+			return
+		}
+		for _, tr := range triples {
+			if nb, ok := unify(order[level], tr, b); ok {
+				walk(level+1, nb)
+			}
+		}
+	}
+	walk(0, map[string]dict.ID{})
+	out.SortRows()
+	return out
+}
+
+// TestEvalAgainstNaive cross-checks the evaluator against the
+// brute-force enumerator on random graphs and random chain and star
+// queries, map-indexed and frozen.
 func TestEvalAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	preds := []string{"p", "q", "r"}
 	for trial := 0; trial < 50; trial++ {
 		st := store.New()
-		type edge struct{ s, p, o string }
-		var edges []edge
 		for i := 0; i < 60; i++ {
-			e := edge{
-				s: fmt.Sprintf("n%d", rng.Intn(10)),
-				p: preds[rng.Intn(len(preds))],
-				o: fmt.Sprintf("n%d", rng.Intn(10)),
-			}
-			if st.Add(rdf.NewTriple(iri(e.s), iri(e.p), iri(e.o))) {
-				edges = append(edges, e)
-			}
+			st.Add(rdf.NewTriple(
+				iri(fmt.Sprintf("n%d", rng.Intn(10))),
+				iri(preds[rng.Intn(len(preds))]),
+				iri(fmt.Sprintf("n%d", rng.Intn(10)))))
 		}
-		// Random chain query: x p0 y, y p1 z (set semantics on (x,z)).
-		p0, p1 := preds[rng.Intn(3)], preds[rng.Intn(3)]
-		q := sparql.MustParseDatalog(
-			fmt.Sprintf("q(x, z) :- x :%s y, y :%s z", p0, p1), px())
-		res, err := EvalSet(st, q)
-		if err != nil {
-			t.Fatal(err)
+		p0, p1, p2 := preds[rng.Intn(3)], preds[rng.Intn(3)], preds[rng.Intn(3)]
+		queries := []string{
+			fmt.Sprintf("q(x, z) :- x :%s y, y :%s z", p0, p1),
+			fmt.Sprintf("q(x, z) :- x :%s y, y :%s z, z :%s x", p0, p1, p2),
+			fmt.Sprintf("q(x) :- x :%s y, x :%s z, x :%s w", p0, p1, p2),
 		}
-		want := map[string]bool{}
-		for _, e1 := range edges {
-			if e1.p != p0 {
-				continue
-			}
-			for _, e2 := range edges {
-				if e2.p == p1 && e2.s == e1.o {
-					want[e1.s+"|"+e2.o] = true
+		onBothStores(t, st, func(t *testing.T, st *store.Store) {
+			for _, src := range queries {
+				q := sparql.MustParseDatalog(src, px())
+				for _, distinct := range []bool{true, false} {
+					res, err := Eval(st, q, Options{Distinct: distinct})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res.SortRows()
+					label := fmt.Sprintf("trial %d %q distinct=%v", trial, src, distinct)
+					requireIdentical(t, label, res, naiveEval(t, st, q, distinct))
 				}
 			}
-		}
-		got := map[string]bool{}
-		for _, row := range res.Rows {
-			a, _ := st.Dict().Decode(row[0])
-			b, _ := st.Dict().Decode(row[1])
-			got[a.Value()[len(ns):]+"|"+b.Value()[len(ns):]] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d pairs, want %d", trial, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("trial %d: missing pair %s", trial, k)
-			}
-		}
-		if res.Len() != len(want) {
-			t.Fatalf("trial %d: set semantics returned %d rows for %d distinct", trial, res.Len(), len(want))
-		}
+		})
 	}
 }
 
@@ -295,6 +408,8 @@ func TestSortRowsDeterministic(t *testing.T) {
 	}
 }
 
+// BenchmarkEvalTwoHopJoin times a two-hop chain join over 50k random
+// edges, on the map-indexed store and again after freezing it.
 func BenchmarkEvalTwoHopJoin(b *testing.B) {
 	st := store.New()
 	rng := rand.New(rand.NewSource(5))
@@ -305,11 +420,15 @@ func BenchmarkEvalTwoHopJoin(b *testing.B) {
 			iri(fmt.Sprintf("n%d", rng.Intn(5000)))))
 	}
 	q := sparql.MustParseDatalog("q(x, z) :- x :knows y, y :knows z", px())
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EvalSet(st, q); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := EvalSet(st, q); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("maps", run)
+	st.Freeze()
+	b.Run("frozen", run)
 }

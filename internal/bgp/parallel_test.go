@@ -122,30 +122,32 @@ func TestFrozenVsMapEvaluation(t *testing.T) {
 
 // TestParallelVsSequential: forcing multiple workers over a seed set
 // small enough that the auto-heuristic would stay sequential must not
-// change the result bag.
+// change the result bag — over the nested maps and the frozen store.
+// Workers split the seed batches, so the graph holds enough facts for
+// every query's seed to span several batchRows-row batches.
 func TestParallelVsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	st := randomGraph(rng, 300)
-	st.Freeze()
 	defer func() { Workers = 0 }()
-	for qi, text := range diffQueries {
-		q, err := sparql.ParseDatalog(text, px())
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
+	onBothStores(t, randomGraph(rng, 3*batchRows), func(t *testing.T, st *store.Store) {
+		for qi, text := range diffQueries {
+			q, err := sparql.ParseDatalog(text, px())
+			if err != nil {
+				t.Fatalf("query %d: %v", qi, err)
+			}
+			Workers = 1
+			seq, err := EvalBag(st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Workers = 4
+			par, err := EvalBag(st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(canonicalRows(seq), canonicalRows(par)) {
+				t.Fatalf("query %d: parallel evaluation diverged (%d vs %d rows)",
+					qi, seq.Len(), par.Len())
+			}
 		}
-		Workers = 1
-		seq, err := EvalBag(st, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Workers = 4
-		par, err := EvalBag(st, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRows(canonicalRows(seq), canonicalRows(par)) {
-			t.Fatalf("query %d: parallel evaluation diverged (%d vs %d rows)",
-				qi, seq.Len(), par.Len())
-		}
-	}
+	})
 }

@@ -47,14 +47,13 @@ const (
 	opNested stepKind = iota
 	opMerge
 	opLeapfrog
-	// opStream is the batch engine's streamed probe: a pattern whose
-	// key variable is already bound and whose other positions are
-	// constants (plus at most one free tail variable) is executed with
-	// ONE shared cursor per input batch — the batch's key values are
-	// visited in sorted order, the cursor gallops between them, and the
-	// tail run is enumerated per key. The row pipeline executes the same
-	// step as a nested probe (identical results), so stream is a pure
-	// execution-strategy tag over the nested plan shape.
+	// opStream is the streamed probe: a pattern whose key variable is
+	// already bound and whose other positions are constants (plus at
+	// most one free tail variable) is executed with ONE shared cursor
+	// per input batch — the batch's key values are visited in sorted
+	// order, the cursor gallops between them, and the tail run is
+	// enumerated per key. It returns exactly the nested probe's rows, so
+	// stream is a pure execution-strategy tag over the nested plan shape.
 	opStream
 )
 
@@ -393,9 +392,9 @@ func sortedLabel(order []int, strict bool, vars []string) string {
 
 // Explain returns the physical operators of the plan for q's body in
 // execution order — "nested", "merge", "leapfrog", "stream" — for
-// diagnostics, benchmarks and tests. On a frozen store (where the batch
-// engine runs) a final "sorted!(x,y)" element names the sort property
-// the pipeline's output obeys. A query with an unknown constant (empty
+// diagnostics, benchmarks and tests. On a frozen store, the only one
+// whose results claim an order, a final "sorted!(x,y)" element names
+// the sort property the pipeline's output obeys. A query with an unknown constant (empty
 // result) explains as an empty plan.
 func Explain(st *store.Store, q *sparql.Query) ([]string, error) {
 	if err := q.Validate(); err != nil {

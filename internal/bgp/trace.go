@@ -27,7 +27,7 @@ type stepStat struct {
 	seeks   atomic.Int64 // cursor galloping seeks (merge/leapfrog)
 	nexts   atomic.Int64 // cursor single-step advances
 	busyNs  atomic.Int64 // summed worker nanoseconds inside the step
-	batches atomic.Int64 // batches emitted (batch engine only)
+	batches atomic.Int64 // batches emitted
 }
 
 // addCursorCounts flushes one cursor group's access-path counters.
