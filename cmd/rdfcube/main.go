@@ -17,11 +17,11 @@
 //	   [-slice dage=28 | -drillout dage | -drillin d3] \
 //	   [-explain]
 //
-// -updates streams a second N-Triples file into the graph *after* it has
-// been frozen: the triples land in the store's delta overlay (the
-// compacted indexes survive) and the query is answered over the merged
-// base+delta view without a re-freeze — the CLI face of the delta-layer
-// write path.
+// -updates streams a second N-Triples file into the graph one triple at
+// a time *after* the bulk load: the triples land in the store's delta
+// overlay (the sorted base survives) and the query is answered over the
+// merged base+delta view without a compaction — the CLI face of the
+// delta-layer write path.
 //
 // -save writes the loaded (and saturated/updated) graph as a frozen v2
 // snapshot — the same format the rdfcubed daemon checkpoints — and -load
@@ -34,11 +34,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"rdfcube"
+	"rdfcube/internal/nt"
 	"rdfcube/internal/obs"
 )
 
@@ -56,7 +58,7 @@ func main() {
 	drillOut := flag.String("drillout", "", "DRILL-OUT: comma-separated dimensions")
 	drillIn := flag.String("drillin", "", "DRILL-IN: existential classifier variable")
 	saturate := flag.Bool("saturate", true, "apply RDFS saturation before answering")
-	updates := flag.String("updates", "", "N-Triples file applied after freezing, through the delta overlay")
+	updates := flag.String("updates", "", "N-Triples file applied after loading, through the delta overlay")
 	format := flag.String("format", "text", "output format: text, csv or json")
 	explain := flag.Bool("explain", false, "print the traced per-operator plan tree (timings, rows, seeks) to stderr")
 	flag.Parse()
@@ -88,8 +90,8 @@ func main() {
 		}
 		// A snapshot normally holds an already-saturated graph, so no
 		// saturation pass runs by default; passing -saturate explicitly
-		// forces one (entailed triples land in the delta overlay — the
-		// frozen layout survives).
+		// forces one (each round's entailed triples are bulk-added with
+		// one base rebuild).
 		fmt.Fprintf(os.Stderr, "loaded snapshot: %d triples (frozen)\n", g.Len())
 		saturateSet := false
 		flag.Visit(func(fl *flag.Flag) {
@@ -124,13 +126,12 @@ func main() {
 		if err != nil {
 			die("%v", err)
 		}
-		un, err := rdfcube.ReadNTriples(g, uf)
+		un, err := applyUpdates(g, uf)
 		uf.Close()
 		if err != nil {
 			die("loading updates %s: %v", *updates, err)
 		}
-		fmt.Fprintf(os.Stderr, "applied %d update triples (delta overlay: %d, frozen: %v)\n",
-			un, g.DeltaLen(), g.IsFrozen())
+		fmt.Fprintf(os.Stderr, "applied %d update triples (delta overlay: %d)\n", un, g.DeltaLen())
 	}
 
 	if *save != "" {
@@ -256,4 +257,24 @@ func (m *multiFlag) String() string { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error {
 	*m = append(*m, v)
 	return nil
+}
+
+// applyUpdates streams an N-Triples document into g one triple at a
+// time — the incremental write path, so the triples land in the delta
+// overlay — and returns the number of new triples.
+func applyUpdates(g *rdfcube.Graph, r io.Reader) (int, error) {
+	added := 0
+	rd := nt.NewReader(r)
+	for {
+		t, err := rd.Next()
+		if err == io.EOF {
+			return added, nil
+		}
+		if err != nil {
+			return added, err
+		}
+		if g.Add(t) {
+			added++
+		}
+	}
 }

@@ -21,7 +21,7 @@
 //	         [-workload-topk 20] [-admission always] [-pprof-addr ""]
 //
 // Writes accepted over POST /insert land in the store's delta overlay —
-// the frozen indexes survive and registered views are maintained through
+// the sorted base survives and registered views are maintained through
 // the delta feed; -compact-threshold tunes how large the overlay may
 // grow before it is folded into a rebuilt base (0 keeps the store
 // default), and -background-compact (on by default) folds it in a
@@ -103,8 +103,8 @@ import (
 	"syscall"
 	"time"
 
+	"rdfcube"
 	"rdfcube/internal/faultfs"
-	"rdfcube/internal/nt"
 	"rdfcube/internal/rdfs"
 	"rdfcube/internal/server"
 	"rdfcube/internal/store"
@@ -348,9 +348,9 @@ func buildLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	}
 }
 
-// loadGraph builds the startup graph: a binary snapshot (already frozen
-// by ReadSnapshotFrozen), an N-Triples file (frozen after optional
-// saturation — the load-to-serve boundary), or an empty store.
+// loadGraph builds the startup graph: a binary snapshot, an N-Triples
+// file (bulk-loaded, then optionally saturated — the load-to-serve
+// boundary), or an empty store.
 func loadGraph(logger *slog.Logger, data, snapshot string, saturate bool) (*store.Store, error) {
 	switch {
 	case data != "" && snapshot != "":
@@ -363,7 +363,7 @@ func loadGraph(logger *slog.Logger, data, snapshot string, saturate bool) (*stor
 		defer f.Close()
 		t0 := time.Now()
 		// OpenFrozenSnapshot sniffs the version: v2 frozen snapshots load
-		// straight into the columnar layout, v1 flat files rebuild+freeze.
+		// straight into the columnar layout, v1 flat files bulk-load.
 		st, err := store.OpenFrozenSnapshot(f)
 		if err != nil {
 			return nil, fmt.Errorf("loading snapshot %s: %w", snapshot, err)
@@ -381,7 +381,7 @@ func loadGraph(logger *slog.Logger, data, snapshot string, saturate bool) (*stor
 		defer f.Close()
 		t0 := time.Now()
 		st := store.New()
-		n, err := readNTriples(st, f)
+		n, err := rdfcube.ReadNTriples(st, f)
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", data, err)
 		}
@@ -397,24 +397,5 @@ func loadGraph(logger *slog.Logger, data, snapshot string, saturate bool) (*stor
 		return st, nil
 	default:
 		return store.New(), nil
-	}
-}
-
-// readNTriples streams an N-Triples document into st, returning the
-// number of distinct triples added.
-func readNTriples(st *store.Store, r io.Reader) (int, error) {
-	added := 0
-	rd := nt.NewReader(r)
-	for {
-		t, err := rd.Next()
-		if err == io.EOF {
-			return added, nil
-		}
-		if err != nil {
-			return added, err
-		}
-		if st.Add(t) {
-			added++
-		}
 	}
 }

@@ -67,7 +67,7 @@ func main() {
 	w.Flush()
 	var load server.LoadResponse
 	mustCall(base+"/load", "text/plain", buf.Bytes(), &load)
-	fmt.Printf("loaded %d triples (frozen=%v)\n", load.Triples, load.Frozen)
+	fmt.Printf("loaded %d triples\n", load.Triples)
 
 	// 2. Materialize the blogger analytical schema (RDFS-saturating the
 	// base first, so :dwellsIn facts reach :livesIn).

@@ -134,18 +134,14 @@ func (s *Schema) Validate() error {
 }
 
 // Materialize evaluates every node and edge query on base and returns
-// the AnS instance as a new store sharing base's dictionary. The
-// returned instance is frozen onto the read-optimized sorted indexes
-// (later writes transparently invalidate); base is only read. Callers
-// that own base and have finished loading it should base.Freeze()
-// beforehand — the node/edge query evaluation is much faster on the
-// frozen layout.
+// the AnS instance as a new store sharing base's dictionary, bulk-loaded
+// with one AddBatch (so it has no pending delta); base is only read.
 func (s *Schema) Materialize(base *store.Store) (*store.Store, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	d := base.Dict()
-	inst := store.NewWithDict(d)
+	var ts []store.IDTriple
 	typeID := d.Encode(rdf.Type)
 	for _, n := range s.Nodes {
 		classID := d.Encode(n.Class)
@@ -154,7 +150,7 @@ func (s *Schema) Materialize(base *store.Store) (*store.Store, error) {
 			return nil, fmt.Errorf("ans: node %s: %w", n.Class, err)
 		}
 		for _, row := range res.Rows {
-			inst.AddID(store.IDTriple{S: row[0], P: typeID, O: classID})
+			ts = append(ts, store.IDTriple{S: row[0], P: typeID, O: classID})
 		}
 	}
 	for _, e := range s.Edges {
@@ -164,10 +160,11 @@ func (s *Schema) Materialize(base *store.Store) (*store.Store, error) {
 			return nil, fmt.Errorf("ans: edge %s: %w", e.Property, err)
 		}
 		for _, row := range res.Rows {
-			inst.AddID(store.IDTriple{S: row[0], P: propID, O: row[1]})
+			ts = append(ts, store.IDTriple{S: row[0], P: propID, O: row[1]})
 		}
 	}
-	inst.Freeze()
+	inst := store.NewWithDict(d)
+	inst.AddBatch(ts)
 	return inst, nil
 }
 

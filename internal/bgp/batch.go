@@ -3,10 +3,10 @@ package bgp
 // Batch-at-a-time execution: the one BGP engine, on every store.
 //
 // Operators exchange fixed-capacity column-major chunks (batch) instead
-// of single rows. The seed stage bulk-copies straight out of the frozen
+// of single rows. The seed stage bulk-copies straight out of the sorted
 // permutation columns when it can (store.PatternColumnRange) and falls
-// back to the store's iterator otherwise — the merged base+delta ranges
-// of a frozen store, the nested maps of an unfrozen one. Join steps
+// back to the store's iterator — the merged base+delta ranges — when a
+// delta overlay is pending. Join steps
 // consume and emit batches; the stream operator (plan.go) replaces
 // per-row nested probes with one shared cursor per batch — the batch's
 // key values are visited in sorted order, the cursor gallops between
@@ -14,13 +14,11 @@ package bgp
 // in input order.
 //
 // The pipeline preserves input order everywhere and appends each step's
-// bindings in sorted order, so on a frozen store the output obeys the
-// plan-time sort property (planSorted): rows are strictly
-// lexicographically ordered by the binding order of the variables.
-// DISTINCT projection exploits that (project.go) by replacing hash
-// deduplication with run detection or skipping it entirely. On an
-// unfrozen store the probes iterate the nested maps in Go map order, so
-// the result claims no order.
+// bindings in sorted order, so the output obeys the plan-time sort
+// property (planSorted): rows are strictly lexicographically ordered by
+// the binding order of the variables. DISTINCT projection exploits that
+// (project.go) by replacing hash deduplication with run detection or
+// skipping it entirely.
 //
 // Worker fan-out: seed batches are partitioned into contiguous runs,
 // each worker executes the remaining steps over its run, and the
@@ -113,22 +111,17 @@ func batchesToRows(bs []*batch, nv int) [][]dict.ID {
 }
 
 // evalBatch runs the batch pipeline: seed stage, worker fan-out over
-// contiguous seed-batch runs, ordered concatenation. On a frozen store
-// the result carries the plan's sort property.
+// contiguous seed-batch runs, ordered concatenation. The result carries
+// the plan's sort property.
 func evalBatch(ctx context.Context, st *store.Store, compiled []compiledPattern, vars []string, steps []planStep, stats []stepStat, span *obs.Span) (*Result, error) {
 	nv := len(vars)
-	var sortedNames []string
-	var strict bool
-	if st.IsFrozen() {
-		var order []int
-		order, strict = planSorted(compiled, steps, nv)
-		sortedNames = make([]string, len(order))
-		for i, v := range order {
-			sortedNames[i] = vars[v]
-		}
-		if span != nil {
-			span.Attr("sorted", sortedLabel(order, strict, vars))
-		}
+	order, strict := planSorted(compiled, steps, nv)
+	sortedNames := make([]string, len(order))
+	for i, v := range order {
+		sortedNames[i] = vars[v]
+	}
+	if span != nil {
+		span.Attr("sorted", sortedLabel(order, strict, vars))
 	}
 	mk := func(bs []*batch) *Result {
 		return &Result{Vars: vars, Rows: batchesToRows(bs, nv), Sorted: sortedNames, Strict: strict}
@@ -147,7 +140,7 @@ func evalBatch(ctx context.Context, st *store.Store, compiled []compiledPattern,
 		fp := &compiled[first.pats[0]]
 		pat0, checks0 := fp.instantiate(zeroRow, bound0)
 		if cr, ok := st.PatternColumnRange(pat0); ok && !checks0[1] && !checks0[2] {
-			// Bulk fill: the matching range is contiguous in the frozen
+			// Bulk fill: the matching range is contiguous in the sorted
 			// permutation, so each free position is one block-wise copy per
 			// batch — straight out of heap arrays or decoded from mapped
 			// delta blocks, whichever backs the store.

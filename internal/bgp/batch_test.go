@@ -68,12 +68,11 @@ func TestBatchStreamPlans(t *testing.T) {
 	}
 }
 
-// TestBatchSortedProperty: on a frozen store the pipeline must deliver
-// rows already sorted by the order it declares in Result.Sorted —
-// strictly, when it claims Strict — without any post-hoc SortRows,
-// under the default and the nested-loop plan alike. On a map-indexed
-// store the probes iterate in Go map order, so the result must declare
-// no order at all.
+// TestBatchSortedProperty: on every store — compacted, with a pending
+// delta, delta-only — the pipeline must declare an order in
+// Result.Sorted and deliver rows already sorted by it — strictly, when
+// it claims Strict — without any post-hoc SortRows, under the default
+// and the nested-loop plan alike.
 func TestBatchSortedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ts := diffTriples(rng, 500)
@@ -83,7 +82,7 @@ func TestBatchSortedProperty(t *testing.T) {
 	}{
 		{"frozen", frozenGraph(ts, false)},
 		{"frozen+delta", frozenGraph(ts, true)},
-		{"maps", thawedGraph(ts)},
+		{"delta only", deltaGraph(ts)},
 	}
 	queries := []string{
 		"q(x, y, z) :- x :next y, y :next z",
@@ -101,22 +100,19 @@ func TestBatchSortedProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkDeclaredOrder(t, label, s.st.IsFrozen(), res)
+					checkDeclaredOrder(t, label, res)
 				}
 			}
 		}
 	}
 }
 
-// checkDeclaredOrder asserts res declares a sort property exactly when
-// frozen, and that its rows obey whatever it declares.
-func checkDeclaredOrder(t *testing.T, label string, frozen bool, res *Result) {
+// checkDeclaredOrder asserts res declares a sort property and that its
+// rows obey it.
+func checkDeclaredOrder(t *testing.T, label string, res *Result) {
 	t.Helper()
-	if frozen && len(res.Sorted) == 0 {
-		t.Fatalf("%s: frozen-store result declares no sort property", label)
-	}
-	if !frozen && (res.Sorted != nil || res.Strict) {
-		t.Fatalf("%s: map-store result claims order %v (strict=%v)", label, res.Sorted, res.Strict)
+	if len(res.Sorted) == 0 {
+		t.Fatalf("%s: result declares no sort property", label)
 	}
 	cols := make([]int, len(res.Sorted))
 	for i, v := range res.Sorted {

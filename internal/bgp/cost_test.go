@@ -31,7 +31,7 @@ func evalCost(t *testing.T, st *store.Store, q *sparql.Query, opts Options) (*Re
 
 // TestCostDifferentialShapes: over the 8-shape matrix, frozen-only and
 // frozen+delta, the default plan, the nested-loop reference and the
-// pipeline over a thawed twin of the same triples report the same
+// pipeline over a delta-only twin of the same triples report the same
 // rows-produced and bytes-materialized, matching the actual result, and
 // each leg reads the store and reports nonzero rows-scanned.
 func TestCostDifferentialShapes(t *testing.T) {
@@ -39,20 +39,20 @@ func TestCostDifferentialShapes(t *testing.T) {
 	for _, split := range []bool{false, true} {
 		ts := diffTriples(rng, 300)
 		st := frozenGraph(ts, split)
-		thawed := thawedGraph(ts)
+		deltaOnly := deltaGraph(ts)
 		for _, shape := range diffShapes {
 			q := sparql.MustParseDatalog(shape.query, px())
 			label := fmt.Sprintf("split=%v %s", split, shape.name)
 
 			batchRes, batch := evalCost(t, st, q, Options{Distinct: true})
-			mapsRes, mapc := evalCost(t, thawed, q, Options{Distinct: true})
+			deltaRes, deltac := evalCost(t, deltaOnly, q, Options{Distinct: true})
 			nestRes, nest := evalCost(t, st, q, Options{Distinct: true, ForceNestedLoop: true})
 
 			for _, e := range []struct {
 				engine string
 				res    *Result
 				snap   obs.CostSnapshot
-			}{{"batch", batchRes, batch}, {"maps", mapsRes, mapc}, {"nested", nestRes, nest}} {
+			}{{"batch", batchRes, batch}, {"delta only", deltaRes, deltac}, {"nested", nestRes, nest}} {
 				if e.snap.RowsProduced != int64(e.res.Len()) {
 					t.Errorf("%s/%s: RowsProduced = %d, result has %d rows",
 						label, e.engine, e.snap.RowsProduced, e.res.Len())
@@ -67,13 +67,13 @@ func TestCostDifferentialShapes(t *testing.T) {
 						label, e.engine, 300)
 				}
 			}
-			if batch.RowsProduced != mapc.RowsProduced || mapc.RowsProduced != nest.RowsProduced {
-				t.Errorf("%s: RowsProduced disagree: batch=%d maps=%d nested=%d",
-					label, batch.RowsProduced, mapc.RowsProduced, nest.RowsProduced)
+			if batch.RowsProduced != deltac.RowsProduced || deltac.RowsProduced != nest.RowsProduced {
+				t.Errorf("%s: RowsProduced disagree: batch=%d delta=%d nested=%d",
+					label, batch.RowsProduced, deltac.RowsProduced, nest.RowsProduced)
 			}
-			if batch.Bytes != mapc.Bytes || mapc.Bytes != nest.Bytes {
-				t.Errorf("%s: Bytes disagree: batch=%d maps=%d nested=%d",
-					label, batch.Bytes, mapc.Bytes, nest.Bytes)
+			if batch.Bytes != deltac.Bytes || deltac.Bytes != nest.Bytes {
+				t.Errorf("%s: Bytes disagree: batch=%d delta=%d nested=%d",
+					label, batch.Bytes, deltac.Bytes, nest.Bytes)
 			}
 		}
 	}

@@ -49,29 +49,32 @@ func diffGraph(rng *rand.Rand, n int, split bool) *store.Store {
 	return frozenGraph(diffTriples(rng, n), split)
 }
 
-// frozenGraph loads ts into a frozen store; with split, the second half
-// lands after Freeze, in the delta overlay.
+// frozenGraph bulk-loads ts into a store with AddBatch; with split, the
+// second half lands afterwards through Add, in the delta overlay.
 func frozenGraph(ts []rdf.Triple, split bool) *store.Store {
 	st := store.New()
 	cut := len(ts)
 	if split {
 		cut = len(ts) / 2
 	}
-	for _, tr := range ts[:cut] {
-		st.Add(tr)
+	batch := make([]store.IDTriple, cut)
+	for i, tr := range ts[:cut] {
+		batch[i] = st.EncodeTriple(tr)
 	}
-	st.Freeze()
+	st.AddBatch(batch)
 	for _, tr := range ts[cut:] {
 		st.Add(tr)
 	}
 	return st
 }
 
-// thawedGraph loads ts into a map-indexed store that is never frozen:
-// the twin of frozenGraph's store, down to the term IDs (the dictionary
-// numbers terms in insertion order).
-func thawedGraph(ts []rdf.Triple) *store.Store {
+// deltaGraph loads every triple of ts through Add into the delta
+// overlay of an empty base, below the compaction threshold: the twin of
+// frozenGraph's store, down to the term IDs (the dictionary numbers
+// terms in insertion order), read through the merged iterators.
+func deltaGraph(ts []rdf.Triple) *store.Store {
 	st := store.New()
+	st.SetCompactThreshold(len(ts) + 1)
 	for _, tr := range ts {
 		st.Add(tr)
 	}

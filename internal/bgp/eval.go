@@ -1,6 +1,6 @@
 // Package bgp evaluates basic graph pattern queries against a triple
 // store through a pipeline of physical join operators — index-nested-
-// loop probes, sort-merge joins and leapfrog triejoins over the frozen
+// loop probes, sort-merge joins and leapfrog triejoins over the
 // store's ordered cursors — chosen per step by a greedy, statistics-
 // driven planner (plan.go).
 //
@@ -11,7 +11,7 @@
 // each worker runs the remaining steps over its run; worker outputs are
 // concatenated in order. Join ordering uses bound-aware
 // cardinality estimates fed by the store's offset directories (exact
-// range counts on a frozen store). Wide projections and distinct
+// range counts). Wide projections and distinct
 // filtering fan out the same way (project.go).
 //
 // Results are tables of dictionary IDs. Evaluation computes every
@@ -52,11 +52,10 @@ type Result struct {
 	// Rows holds one dict.ID per column per row.
 	Rows [][]dict.ID
 	// Sorted names the variables the rows are lexicographically ordered
-	// by, in significance order. Nil when evaluation makes no ordering
-	// claim: on an unfrozen store the nested maps iterate in Go map
-	// order, so rows come out grouped but not sorted. Set by the batch
-	// pipeline on a frozen store and propagated through projection, so
-	// DISTINCT can run-detect or skip deduplication instead of hashing.
+	// by, in significance order. Nil when a result makes no ordering
+	// claim. Set by the batch pipeline and propagated through
+	// projection, so DISTINCT can run-detect or skip deduplication
+	// instead of hashing.
 	Sorted []string
 	// Strict reports that no two rows agree on all Sorted variables —
 	// the rows are distinct tuples over them.
@@ -203,10 +202,9 @@ func EvalBagCtx(ctx context.Context, st *store.Store, q *sparql.Query) (*Result,
 }
 
 // evalBody computes all embeddings of the body patterns. The returned
-// result has one column per body variable. Every store, frozen or not,
-// runs the batch pipeline (batch.go); the store only shapes the plan —
-// cursor operators need the frozen permutations — and ForceNestedLoop
-// downgrades every step to a nested probe.
+// result has one column per body variable. The batch pipeline
+// (batch.go) runs it; ForceNestedLoop downgrades every step to a nested
+// probe.
 func evalBody(ctx context.Context, st *store.Store, patterns []sparql.TriplePattern, opts Options) (res *Result, err error) {
 	if len(patterns) == 0 {
 		return &Result{}, nil
@@ -391,7 +389,7 @@ func (cp *compiledPattern) connected(bound []bool) bool {
 
 // boundEstimate estimates how many triples the pattern matches per input
 // row, given which variables are already bound: start from the
-// constants-only cardinality (exact ranges on a frozen store) and divide
+// constants-only cardinality (exact ranges) and divide
 // by the distinct-value count of every bound position — per-predicate
 // distinct subjects/objects from the freeze-time stats when the
 // predicate is constant, store-wide counts otherwise.
@@ -442,21 +440,6 @@ func maxI(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// nBound counts the pattern's already-bound variables.
-func (cp *compiledPattern) nBound(bound []bool) int {
-	n := 0
-	if cp.varS >= 0 && bound[cp.varS] {
-		n++
-	}
-	if cp.varP >= 0 && bound[cp.varP] {
-		n++
-	}
-	if cp.varO >= 0 && bound[cp.varO] {
-		n++
-	}
-	return n
 }
 
 // SortRows orders rows lexicographically in place; useful for

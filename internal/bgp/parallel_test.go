@@ -1,11 +1,12 @@
 package bgp
 
-// Differential tests for the evaluation pipeline: the frozen-store path
-// and the parallel worker partitioning must produce exactly the result
-// sets of the map-based, sequential path.
+// Differential tests for the evaluation pipeline: the compacted-store
+// path and the parallel worker partitioning must produce exactly the
+// result sets of the delta-only, sequential path.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,9 +17,11 @@ import (
 )
 
 // randomGraph builds a random multi-hop graph in the style of the core
-// package's property-test generator.
+// package's property-test generator. Every triple stays in the delta
+// overlay of an empty base: the threshold is lifted so no write compacts.
 func randomGraph(rng *rand.Rand, facts int) *store.Store {
 	st := store.New()
+	st.SetCompactThreshold(math.MaxInt32)
 	add := func(s, p, o rdf.Term) { st.Add(rdf.NewTriple(s, p, o)) }
 	for f := 0; f < facts; f++ {
 		x := iri(fmt.Sprintf("fact%d", f))
@@ -91,30 +94,34 @@ var diffQueries = []string{
 	"q(s) :- s :dim0 w, s :dim1 w", // repeated variable across patterns
 }
 
-// TestFrozenVsMapEvaluation: identical result bags on both store
-// representations, for set and bag semantics.
+// TestFrozenVsMapEvaluation: identical result bags on a delta-only store
+// (the leg "maps" names, see onBothStores) and on its compacted twin,
+// for set and bag semantics.
 func TestFrozenVsMapEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	st := randomGraph(rng, 150)
+	deltaOnly := randomGraph(rng, 150)
+	compacted := randomGraph(rand.New(rand.NewSource(11)), 150)
+	compacted.Freeze()
+	if deltaOnly.DeltaLen() == 0 || compacted.DeltaLen() != 0 {
+		t.Fatal("twin stores do not cover both representations")
+	}
 	for qi, text := range diffQueries {
 		q, err := sparql.ParseDatalog(text, px())
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
 		for _, distinct := range []bool{true, false} {
-			st.Thaw()
-			mapRes, err := Eval(st, q, Options{Distinct: distinct})
+			deltaRes, err := Eval(deltaOnly, q, Options{Distinct: distinct})
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.Freeze()
-			frzRes, err := Eval(st, q, Options{Distinct: distinct})
+			frzRes, err := Eval(compacted, q, Options{Distinct: distinct})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameRows(canonicalRows(mapRes), canonicalRows(frzRes)) {
-				t.Fatalf("query %d distinct=%v: frozen path diverged\n maps:   %d rows\n frozen: %d rows",
-					qi, distinct, mapRes.Len(), frzRes.Len())
+			if !sameRows(canonicalRows(deltaRes), canonicalRows(frzRes)) {
+				t.Fatalf("query %d distinct=%v: compacted path diverged\n delta:  %d rows\n frozen: %d rows",
+					qi, distinct, deltaRes.Len(), frzRes.Len())
 			}
 		}
 	}
@@ -122,7 +129,7 @@ func TestFrozenVsMapEvaluation(t *testing.T) {
 
 // TestParallelVsSequential: forcing multiple workers over a seed set
 // small enough that the auto-heuristic would stay sequential must not
-// change the result bag — over the nested maps and the frozen store.
+// change the result bag — over the delta-only and the compacted store.
 // Workers split the seed batches, so the graph holds enough facts for
 // every query's seed to span several batchRows-row batches.
 func TestParallelVsSequential(t *testing.T) {

@@ -4,8 +4,7 @@ package bgp
 // this file decides what each step is. Three operators exist:
 //
 //	nested    index-nested-loop probe of one pattern per input row —
-//	          the always-applicable baseline, and the only operator on
-//	          an unfrozen (map-indexed) store;
+//	          the always-applicable baseline;
 //	merge     sort-merge intersection of two pattern cursors sharing a
 //	          join variable;
 //	leapfrog  leapfrog-triejoin intersection of k >= 3 cursors sharing
@@ -15,7 +14,7 @@ package bgp
 // feed a sorted cursor keyed on variable v exactly when v occupies one
 // position and every other position is a constant or an already-bound
 // variable — the pattern then instantiates (per input row) to a
-// two-bound range of one frozen permutation whose third column is v's
+// two-bound range of one sorted permutation whose third column is v's
 // run, sorted and duplicate-free (see store.Cursor). That is the
 // sortedness propagation rule: binding variables upstream turns more
 // patterns cursor-eligible downstream, so a star query whose center is
@@ -29,9 +28,8 @@ package bgp
 // intermediate results); among competing groups the planner prefers
 // more patterns, then the smaller bound-aware cardinality estimate.
 // Groups disconnected from the bound variables are deferred exactly
-// like nested cross products. Everything else keeps the pre-existing
-// greedy nested order (cheapest bound-aware estimate first on a frozen
-// store, most-bound-first on the maps).
+// like nested cross products. Everything else keeps the greedy nested
+// order: connected patterns first, cheapest bound-aware estimate first.
 
 import (
 	"strings"
@@ -88,15 +86,6 @@ func planPipeline(st *store.Store, compiled []compiledPattern, nVars int, forceN
 	used := make([]bool, n)
 	bound := make([]bool, nVars)
 	steps := make([]planStep, 0, n)
-	frozen := st.IsFrozen()
-	cursors := frozen && !forceNested
-	var static []float64
-	if !frozen {
-		static = make([]float64, n)
-		for i := range compiled {
-			static[i] = compiled[i].boundEstimate(st, bound) // nothing bound: static
-		}
-	}
 	remaining := n
 	for remaining > 0 {
 		// Greedy nested pick (the pre-cursor planOrder logic) — also the
@@ -104,25 +93,17 @@ func planPipeline(st *store.Store, compiled []compiledPattern, nVars int, forceN
 		best := -1
 		bestConn := false
 		bestEst := 0.0
-		bestNB := -1
 		for i := range compiled {
 			if used[i] {
 				continue
 			}
-			if frozen {
-				conn := compiled[i].connected(bound)
-				est := compiled[i].boundEstimate(st, bound)
-				if best < 0 || (conn && !bestConn) || (conn == bestConn && est < bestEst) {
-					best, bestConn, bestEst = i, conn, est
-				}
-			} else {
-				nb := compiled[i].nBound(bound)
-				if best < 0 || nb > bestNB || (nb == bestNB && static[i] < bestEst) {
-					best, bestNB, bestEst = i, nb, static[i]
-				}
+			conn := compiled[i].connected(bound)
+			est := compiled[i].boundEstimate(st, bound)
+			if best < 0 || (conn && !bestConn) || (conn == bestConn && est < bestEst) {
+				best, bestConn, bestEst = i, conn, est
 			}
 		}
-		if cursors {
+		if !forceNested {
 			// A group touching the bound variables is a candidate; a
 			// disconnected one (a cross-product) is deferred like a
 			// disconnected pattern, but once only disconnected work
@@ -153,7 +134,7 @@ func planPipeline(st *store.Store, compiled []compiledPattern, nVars int, forceN
 		}
 		used[best] = true
 		stp := planStep{kind: opNested, pats: []int{best}, tail: -1}
-		if cursors {
+		if !forceNested {
 			if v, tail, pso, ok := compiled[best].streamEligible(bound); ok {
 				stp.kind, stp.joinVar, stp.tail, stp.pso = opStream, v, tail, pso
 			}
@@ -392,10 +373,9 @@ func sortedLabel(order []int, strict bool, vars []string) string {
 
 // Explain returns the physical operators of the plan for q's body in
 // execution order — "nested", "merge", "leapfrog", "stream" — for
-// diagnostics, benchmarks and tests. On a frozen store, the only one
-// whose results claim an order, a final "sorted!(x,y)" element names
-// the sort property the pipeline's output obeys. A query with an unknown constant (empty
-// result) explains as an empty plan.
+// diagnostics, benchmarks and tests — followed by a final "sorted!(x,y)"
+// element naming the sort property the pipeline's output obeys. A query
+// with an unknown constant (empty result) explains as an empty plan.
 func Explain(st *store.Store, q *sparql.Query) ([]string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -409,9 +389,6 @@ func Explain(st *store.Store, q *sparql.Query) ([]string, error) {
 	for i, s := range steps {
 		out[i] = s.kind.String()
 	}
-	if st.IsFrozen() {
-		order, strict := planSorted(compiled, steps, len(vars))
-		out = append(out, sortedLabel(order, strict, vars))
-	}
-	return out, nil
+	order, strict := planSorted(compiled, steps, len(vars))
+	return append(out, sortedLabel(order, strict, vars)), nil
 }

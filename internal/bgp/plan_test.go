@@ -90,17 +90,6 @@ func TestPlannerOperatorChoice(t *testing.T) {
 	}
 }
 
-// TestPlannerUnfrozenAllNested: the cursor operators need the frozen
-// permutations; the map-indexed store plans nested-only.
-func TestPlannerUnfrozenAllNested(t *testing.T) {
-	st := planGraph()
-	st.Thaw()
-	got := explainString(t, st, "q(x) :- x :a0 :v0_0, x :a1 :v1_0, x :a2 :v2_0")
-	if got != "nested,nested,nested" {
-		t.Fatalf("unfrozen plan = %q, want nested-only", got)
-	}
-}
-
 // TestPlannerForceNested: the differential knob must pin every step.
 func TestPlannerForceNested(t *testing.T) {
 	st := planGraph()
@@ -128,9 +117,23 @@ func TestPlannerDelta(t *testing.T) {
 	if st.DeltaLen() == 0 {
 		t.Fatal("write did not land in the delta overlay")
 	}
-	got := explainString(t, st, "q(x) :- x :a0 :v0_0, x :a1 :v1_0, x :a2 :v2_0")
-	if got != "leapfrog,sorted!(x)" {
+	const q = "q(x) :- x :a0 :v0_0, x :a1 :v1_0, x :a2 :v2_0"
+	if got := explainString(t, st, q); got != "leapfrog,sorted!(x)" {
 		t.Fatalf("plan with delta = %q, want leapfrog", got)
+	}
+	// A store whose triples all sit in the overlay (never compacted)
+	// plans the same cursor operators.
+	deltaOnly := store.New()
+	st.ForEach(store.Pattern{}, func(tr store.IDTriple) bool {
+		t, _ := st.Dict().DecodeTriple(tr.S, tr.P, tr.O)
+		deltaOnly.Add(t)
+		return true
+	})
+	if deltaOnly.DeltaLen() != st.Len() {
+		t.Fatalf("delta-only store holds %d overlay triples, want %d", deltaOnly.DeltaLen(), st.Len())
+	}
+	if got := explainString(t, deltaOnly, q); got != "leapfrog,sorted!(x)" {
+		t.Fatalf("delta-only plan = %q, want leapfrog", got)
 	}
 }
 

@@ -14,7 +14,7 @@ package bgp
 // first-occurring index. Survivors are emitted in input order, which is
 // exactly the sequential first-occurrence order.
 //
-// When the input carries a sort property (frozen stores, batch.go), the
+// When the input carries a sort property (batch.go), the
 // distinct filter downgrades to something cheaper: if the result is
 // strict over its sorted variables and the projection keeps them all,
 // no deduplication is needed at all; if the projected variables are

@@ -146,7 +146,8 @@ func (c BloggerConfig) Generate() (*store.Store, error) {
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	st := store.New()
-	add := func(s, p, o rdf.Term) { st.Add(rdf.Triple{S: s, P: p, O: o}) }
+	var ts []store.IDTriple
+	add := func(s, p, o rdf.Term) { ts = append(ts, st.EncodeTriple(rdf.Triple{S: s, P: p, O: o})) }
 
 	blogAuthor := res("BlogAuthor")
 	wrotePost := res("wrotePost")
@@ -191,6 +192,7 @@ func (c BloggerConfig) Generate() (*store.Store, error) {
 			add(post, hasWordCount, rdf.NewInt(int64(50+rng.Intn(1000))))
 		}
 	}
+	st.AddBatch(ts)
 	return st, nil
 }
 

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"runtime"
 	"testing"
 
 	"rdfcube/internal/bgp"
@@ -354,4 +355,61 @@ func BenchmarkMaterializeSchema(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestGenerateBulkLoads: Generate loads its graph with one AddBatch, never
+// through the per-triple delta path — ~20k triples leave no pending
+// delta and rebuild the empty store's base exactly once.
+func TestGenerateBulkLoads(t *testing.T) {
+	cfg := DefaultBloggerConfig()
+	cfg.Bloggers = 1500
+	base, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Len() < 15000 {
+		t.Fatalf("generated %d triples, want a graph of ~20k", base.Len())
+	}
+	if base.DeltaLen() != 0 {
+		t.Errorf("Generate left a delta of %d triples", base.DeltaLen())
+	}
+	if v := base.Version(); v != (store.Version{Base: 1}) {
+		t.Errorf("Generate left version %+v, want one base rebuild", v)
+	}
+}
+
+// BenchmarkLoadPipeline runs the paper's pipeline at the bench's `small`
+// size (20k bloggers, 3 dimensions): Generate → Saturate → Freeze →
+// Materialize. Besides ns/op it reports live-MB, the heap in use after
+// a GC with the base graph and the AnS instance both alive.
+func BenchmarkLoadPipeline(b *testing.B) {
+	cfg := DefaultBloggerConfig()
+	cfg.Bloggers = 20000
+	cfg.Dimensions = 3
+	schema, err := BloggerSchema(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var liveMB float64
+	for i := 0; i < b.N; i++ {
+		base, err := cfg.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rdfs.Saturate(base)
+		base.Freeze()
+		inst, err := schema.Materialize(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		liveMB = float64(ms.HeapAlloc) / (1 << 20)
+		runtime.KeepAlive(base)
+		runtime.KeepAlive(inst)
+		b.StartTimer()
+	}
+	b.ReportMetric(liveMB, "live-MB")
 }

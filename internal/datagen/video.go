@@ -56,7 +56,8 @@ func (c VideoConfig) Generate() (*store.Store, error) {
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	st := store.New()
-	add := func(s, p, o rdf.Term) { st.Add(rdf.Triple{S: s, P: p, O: o}) }
+	var ts []store.IDTriple
+	add := func(s, p, o rdf.Term) { ts = append(ts, st.EncodeTriple(rdf.Triple{S: s, P: p, O: o})) }
 
 	videoClass := res("VideoItem")
 	postedOn := res("postedOn")
@@ -89,6 +90,7 @@ func (c VideoConfig) Generate() (*store.Store, error) {
 			add(video, postedOn, res(fmt.Sprintf("website%d", perm[i])))
 		}
 	}
+	st.AddBatch(ts)
 	return st, nil
 }
 

@@ -230,9 +230,9 @@ func (mp *MaintainedPres) Query() *core.Query { return mp.q }
 
 // Insert adds triples to the AnS instance and updates the
 // materialization incrementally. It returns the number of new classifier
-// rows and new measure tuples absorbed (its own batch only). On a frozen
-// instance the writes land in the store's delta overlay, so the delta
-// evaluations below run on the merged fast path without any re-freeze.
+// rows and new measure tuples absorbed (its own batch only). The writes
+// land in the store's delta overlay, so the delta evaluations below run
+// on the merged fast path without any compaction.
 //
 // Insert first Syncs: triples that reached the instance out of band
 // since the last application are absorbed from the delta feed (or, if
@@ -348,7 +348,7 @@ func (mp *MaintainedPres) apply(delta []store.IDTriple) (newFacts, newMeasures i
 }
 
 // Refresh recomputes the materialization from scratch; used after
-// out-of-band instance mutations (e.g. deletions).
+// out-of-band instance mutations (e.g. a base rebuild).
 func (mp *MaintainedPres) Refresh() error {
 	fresh, err := New(mp.ev, mp.q)
 	if err != nil {

@@ -513,8 +513,8 @@ func TestSyncConsumesDeltaFeed(t *testing.T) {
 			}
 			id++
 		}
-		if !st.IsFrozen() {
-			t.Fatal("writes dropped the frozen base")
+		if st.DeltaLen() == 0 {
+			t.Fatal("writes did not land in the delta overlay")
 		}
 		nf, nm, refreshed, err := mp.Sync()
 		if err != nil {

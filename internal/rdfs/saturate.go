@@ -29,7 +29,9 @@ import (
 // Strategy: first compute the transitive closures of subClassOf and
 // subPropertyOf (rules 5/11) — these touch only schema triples, which are
 // few. Then apply the data rules (2/3/7/9) in a semi-naive loop seeded
-// with all data triples, re-deriving from newly added triples only.
+// with all data triples, re-deriving from newly added triples only. Each
+// round's derivations are added with one AddBatch, whose new triples
+// are the next round's frontier.
 func Saturate(st *store.Store) int {
 	d := st.Dict()
 	typeID := d.Encode(rdf.Type)
@@ -54,11 +56,10 @@ func Saturate(st *store.Store) int {
 	// premises of rules 2/3/7/9.
 	frontier := st.Match(store.Pattern{})
 	for len(frontier) > 0 {
-		var next []store.IDTriple
+		var derived []store.IDTriple
 		derive := func(t store.IDTriple) {
-			if st.AddID(t) {
-				added++
-				next = append(next, t)
+			if !st.ContainsID(t) { // most rounds re-derive known facts
+				derived = append(derived, t)
 			}
 		}
 		for _, t := range frontier {
@@ -82,7 +83,8 @@ func Saturate(st *store.Store) int {
 				derive(store.IDTriple{S: t.O, P: typeID, O: c})
 			}
 		}
-		frontier = next
+		frontier = st.AddBatch(derived)
+		added += len(frontier)
 	}
 	return added
 }
@@ -129,9 +131,6 @@ func relationMap(st *store.Store, p dict.ID) map[dict.ID][]dict.ID {
 // nothing, i.e. st is already a fixpoint. Used by tests.
 func IsSaturated(st *store.Store) bool {
 	cp := store.NewWithDict(st.Dict())
-	st.ForEach(store.Pattern{}, func(t store.IDTriple) bool {
-		cp.AddID(t)
-		return true
-	})
+	cp.AddBatch(st.Match(store.Pattern{}))
 	return Saturate(cp) == 0
 }

@@ -169,12 +169,14 @@ func BenchmarkSaturate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		st := store.New()
+		var ts []store.IDTriple
 		for c := 0; c < 20; c++ {
-			add(st, iri(fmt.Sprintf("C%d", c)), rdf.SubClassOf, iri(fmt.Sprintf("C%d", (c+1)%20)))
+			ts = append(ts, st.EncodeTriple(rdf.NewTriple(iri(fmt.Sprintf("C%d", c)), rdf.SubClassOf, iri(fmt.Sprintf("C%d", (c+1)%20)))))
 		}
 		for x := 0; x < 5000; x++ {
-			add(st, iri(fmt.Sprintf("x%d", x)), rdf.Type, iri(fmt.Sprintf("C%d", x%20)))
+			ts = append(ts, st.EncodeTriple(rdf.NewTriple(iri(fmt.Sprintf("x%d", x)), rdf.Type, iri(fmt.Sprintf("C%d", x%20)))))
 		}
+		st.AddBatch(ts)
 		b.StartTimer()
 		Saturate(st)
 	}

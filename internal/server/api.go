@@ -79,9 +79,8 @@ type QueryResponse struct {
 
 // LoadResponse reports a data load.
 type LoadResponse struct {
-	Added   int  `json:"added"`
-	Triples int  `json:"triples"`
-	Frozen  bool `json:"frozen"`
+	Added   int `json:"added"`
+	Triples int `json:"triples"`
 }
 
 // InsertResponse reports a delta write. Maintained/Invalidated describe
@@ -91,13 +90,10 @@ type InsertResponse struct {
 	Added int `json:"added"`
 	// Triples is the target graph's size after the write.
 	Triples int `json:"triples"`
-	// Delta is the size of the store's delta overlay (0 right after a
-	// compaction or on an unfrozen graph).
+	// Delta is the size of the store's delta overlay: the write landed
+	// there, leaving the sorted base in place (0 right after a write
+	// that crossed the compaction threshold, which rebuilds the base).
 	Delta int `json:"delta"`
-	// Frozen reports whether the sorted base survived the write (it does
-	// unless the write crossed the compaction threshold, which rebuilds
-	// it — still frozen — or the graph was never frozen).
-	Frozen bool `json:"frozen"`
 	// Maintained and Invalidated are the registry-wide counter deltas
 	// caused by this write's notification.
 	Maintained  int64 `json:"maintained"`
@@ -247,8 +243,7 @@ type CheckpointResponse struct {
 
 // GraphStats describes one graph.
 type GraphStats struct {
-	Triples int  `json:"triples"`
-	Frozen  bool `json:"frozen"`
+	Triples int `json:"triples"`
 	// Epoch is the packed write version (legacy field); BaseEpoch and
 	// DeltaSeq decompose it: BaseEpoch counts base rebuilds, DeltaSeq
 	// the writes in the current delta overlay, whose size DeltaTriples

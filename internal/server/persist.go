@@ -360,7 +360,7 @@ func (s *Server) logWrite(ctx context.Context, g *store.Store, before store.Vers
 // not yet durable for this graph (terms may have been interned by
 // writes to the *other* graph — the dictionary is shared while an
 // instance is materialized in-process); a write that moved the base
-// epoch (threshold compaction, map-mode writes, freeze) checkpoints
+// epoch (threshold compaction, bulk load, freeze) checkpoints
 // instead — which also truncates the log across the base move, so it
 // cannot grow unboundedly.
 //
@@ -380,7 +380,7 @@ func (s *Server) stageWrite(ctx context.Context, g *store.Store, before store.Ve
 		return nil, nil // nothing accepted
 	}
 	w := s.walFor(g)
-	if after.Base != before.Base || !g.IsFrozen() || w == nil {
+	if after.Base != before.Base || w == nil {
 		_, span := obs.StartSpan(ctx, "persist.checkpoint")
 		err := s.checkpointLocked()
 		span.End()
@@ -569,19 +569,14 @@ func (s *Server) checkpointFilesLocked() error {
 	return nil
 }
 
-// checkpointGraph persists one graph: freeze (a no-op on an already
-// frozen graph with no pending delta; a map-mode graph is compacted onto
-// the frozen layout without a version change), snapshot the base
-// columns, swap the WAL down to the delta tail.
+// checkpointGraph persists one graph: snapshot the base columns, swap
+// the WAL down to the delta tail.
 //
 // With v3 set (mapped mode), the snapshot is written in the mappable
 // format — and skipped entirely when the graph's mmap'd file already IS
 // its current frozen base (the common case after a mapped compaction:
 // only the WAL needs trimming).
 func checkpointGraph(fsys faultfs.FS, g *store.Store, snapPath string, wal *persist.WAL, v3 bool) (*persist.WAL, error) {
-	if !g.IsFrozen() {
-		g.Freeze()
-	}
 	switch {
 	case g.MappedBaseClean():
 		// base.snap is the mapping we serve from; rewriting it would be

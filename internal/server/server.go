@@ -7,12 +7,12 @@
 //
 // Endpoints:
 //
-//	POST /load           N-Triples body → add to the base graph
-//	                     (?saturate=1 applies RDFS entailment,
-//	                      ?freeze=0 skips re-freezing after the load)
+//	POST /load           N-Triples body → bulk-add to the base graph,
+//	                     leaving no pending delta (?saturate=1 applies
+//	                     RDFS entailment)
 //	POST /insert         N-Triples body → delta write into the serving
 //	                     instance (?graph=base targets the base graph):
-//	                     the frozen indexes survive, registered views are
+//	                     the sorted base survives, registered views are
 //	                     maintained through the delta feed
 //	POST /load-snapshot  binary snapshot body → replace the base graph
 //	GET  /snapshot       binary snapshot of the base graph (?graph=instance)
@@ -462,14 +462,14 @@ func readNTBody(r io.Reader) ([]rdf.Triple, error) {
 	}
 }
 
-// handleLoad streams an N-Triples body into the base graph; only the
-// in-memory apply/saturate/freeze happens inside the critical section.
+// handleLoad streams an N-Triples body into the base graph as one bulk
+// batch; only the in-memory apply/saturate/freeze happens inside the
+// critical section.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) (int, error) {
 	if st, err := s.refuseIfDegraded(w); st != 0 {
 		return st, err
 	}
 	saturate := boolParam(r, "saturate", false)
-	freeze := boolParam(r, "freeze", true)
 
 	batch, err := readNTBody(r.Body)
 	if err != nil {
@@ -479,20 +479,19 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) (int, error)
 	s.mu.Lock()
 	ver0 := s.base.Version()
 	instVer0 := s.inst.Version()
-	added := 0
-	for _, t := range batch {
-		if s.base.Add(t) {
-			added++
-		}
+	ts := make([]store.IDTriple, len(batch))
+	for i, t := range batch {
+		ts[i] = s.base.EncodeTriple(t)
 	}
+	added := len(s.base.AddBatch(ts))
 	if saturate {
 		added += rdfs.Saturate(s.base)
 	}
-	if freeze {
-		s.base.Freeze()
-		if s.inst != s.base {
-			s.inst.Freeze()
-		}
+	// AddBatch folded any pending delta of the base unless the body held
+	// nothing new; compact both graphs so the load leaves no overlay.
+	s.base.Freeze()
+	if s.inst != s.base {
+		s.inst.Freeze()
 	}
 	if s.inst == s.base {
 		// The serving instance may have changed — by the new triples, or
@@ -518,11 +517,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) (int, error)
 			return s.failDurable(w, "wal append", err)
 		}
 	}
-	s.maybeCompact(s.base) // a ?freeze=0 load can fill the overlay
 	resp := LoadResponse{
 		Added:   added,
 		Triples: s.base.Len(),
-		Frozen:  s.base.IsFrozen(),
 	}
 	s.mu.Unlock()
 	// With group commit the fsync wait runs outside the write lock, so
@@ -538,8 +535,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) (int, error)
 }
 
 // handleInsert streams an N-Triples body into the serving instance (or
-// the base graph with ?graph=base) as a delta write: on a frozen store
-// the compacted indexes survive, the triples land in the sorted overlay,
+// the base graph with ?graph=base) as a delta write: the sorted base
+// survives, the triples land in the sorted overlay,
 // and the registered views are maintained through the delta feed inside
 // the same critical section. This is the paper's maintenance economy as
 // an endpoint — concurrent readers keep being served rewrites from
@@ -602,7 +599,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) (int, erro
 		Added:       added,
 		Triples:     target.Len(),
 		Delta:       target.DeltaLen(),
-		Frozen:      target.IsFrozen(),
 		Maintained:  maintained,
 		Invalidated: invalidated,
 	}
@@ -625,7 +621,7 @@ func (s *Server) handleLoadSnapshot(w http.ResponseWriter, r *http.Request) (int
 	if st, err := s.refuseIfDegraded(w); st != 0 {
 		return st, err
 	}
-	st, err := store.ReadSnapshotFrozen(r.Body)
+	st, err := store.ReadSnapshot(r.Body)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -641,7 +637,7 @@ func (s *Server) handleLoadSnapshot(w http.ResponseWriter, r *http.Request) (int
 	if err2 != nil {
 		return s.failDurable(w, "checkpoint", err2)
 	}
-	s.writeJSON(w, http.StatusOK, LoadResponse{Added: triples, Triples: triples, Frozen: true})
+	s.writeJSON(w, http.StatusOK, LoadResponse{Added: triples, Triples: triples})
 	return http.StatusOK, nil
 }
 
@@ -731,7 +727,7 @@ func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) (int, erro
 			return s.failDurable(w, "checkpoint", err)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, LoadResponse{Triples: s.base.Len(), Frozen: true})
+	s.writeJSON(w, http.StatusOK, LoadResponse{Triples: s.base.Len()})
 	return http.StatusOK, nil
 }
 
@@ -874,7 +870,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, error
 
 // handleStatsz reports registry, graph and endpoint statistics.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) (int, error) {
-	// Store fields (size, frozen state) are written by the load/
+	// Store fields (size, versions) are written by the load/
 	// materialize endpoints, so they must be read under the lock; the
 	// registry snapshot is internally synchronized.
 	s.mu.RLock()
@@ -882,7 +878,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) (int, erro
 		v := g.Version()
 		return GraphStats{
 			Triples:      g.Len(),
-			Frozen:       g.IsFrozen(),
 			Epoch:        g.Epoch(),
 			BaseEpoch:    v.Base,
 			DeltaSeq:     v.Seq,

@@ -111,7 +111,7 @@ func startBloggerServerCfg(t *testing.T, bloggers int, scfg Config) (*httptest.S
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || lr.Triples == 0 || !lr.Frozen {
+	if resp.StatusCode != http.StatusOK || lr.Triples == 0 {
 		t.Fatalf("/load: status %d resp %+v", resp.StatusCode, lr)
 	}
 
@@ -292,8 +292,8 @@ func TestEndToEndConcurrentOLAPSession(t *testing.T) {
 	if stats.Endpoints["/query"].Count == 0 {
 		t.Error("statsz missing /query endpoint metrics")
 	}
-	if !stats.Instance.Frozen {
-		t.Error("instance not frozen after materialize")
+	if stats.Instance.DeltaTriples != 0 {
+		t.Errorf("instance has a pending delta of %d after materialize", stats.Instance.DeltaTriples)
 	}
 }
 
@@ -451,7 +451,7 @@ func TestInterleavedInsertQueryDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if ir.Added == 0 || !ir.Frozen {
+		if ir.Added == 0 || ir.Delta == 0 {
 			t.Fatalf("round %d: insert %+v", round, ir)
 		}
 		if ir.Invalidated != 0 {
@@ -492,9 +492,6 @@ func TestInterleavedInsertQueryDifferential(t *testing.T) {
 	}
 	if stats.Registry.Maintained == 0 {
 		t.Error("statsz maintained counter is 0")
-	}
-	if !stats.Instance.Frozen {
-		t.Error("instance lost its frozen base across delta writes")
 	}
 	if stats.Instance.DeltaTriples == 0 || stats.Instance.DeltaSeq == 0 {
 		t.Errorf("instance delta not visible in statsz: %+v", stats.Instance)
@@ -564,7 +561,7 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !lr.Frozen || lr.Triples == 0 {
+	if lr.Triples == 0 {
 		t.Fatalf("load-snapshot: %+v", lr)
 	}
 
@@ -624,7 +621,7 @@ func TestBackgroundCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if ir.Added == 0 || !ir.Frozen {
+	if ir.Added == 0 {
 		t.Fatalf("insert: %+v", ir)
 	}
 	if ir.Delta < threshold {

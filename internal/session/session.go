@@ -92,11 +92,11 @@ func (m *Manager) Answer(q *core.Query) (*algebra.Relation, Strategy, error) {
 }
 
 // Insert appends triples to the managed AnS instance and keeps the
-// materialized views alive: on a frozen instance the writes land in the
-// store's delta overlay and the registered pres(Q)/ans(Q) are maintained
-// through the delta feed (internal/incr) rather than dropped, so the
-// analyst keeps paying view-maintenance cost instead of recomputation
-// cost across updates. It returns the number of new triples. Insert must
+// materialized views alive: the writes land in the store's delta
+// overlay and the registered pres(Q)/ans(Q) are maintained through the
+// delta feed (internal/incr) rather than dropped, so the analyst keeps
+// paying view-maintenance cost instead of recomputation cost across
+// updates. It returns the number of new triples. Insert must
 // not run concurrently with Answer (the store's write contract).
 func (m *Manager) Insert(triples []rdf.Triple) int {
 	inst := m.reg.Instance()

@@ -66,7 +66,7 @@ func (st *Store) PrepareMappedCompaction(fsys faultfs.FS, path string, opts Mapp
 		path:     path,
 		opts:     opts,
 	}
-	merged := st.mergedFrozen()
+	merged := st.mergedFrozen(nil)
 	terms := st.dict.Terms()
 	err := persist.AtomicWriteFS(fsys, path, func(w io.Writer) error {
 		// Stamp the epoch the store will have once this base installs,

@@ -34,8 +34,8 @@ import (
 )
 
 // Cursor is an ordered, seekable iterator over the triples matching one
-// pattern on a frozen store. Obtain one with Store.NewCursor; the zero
-// Cursor is not meaningful.
+// pattern. Obtain one with Store.NewCursor; the zero Cursor is not
+// meaningful.
 type Cursor struct {
 	// Base side: a [bpos, bhi) range of one frozen permutation; bcol is
 	// the key column of that permutation (c1/c2/c3 per keyCol).
@@ -92,16 +92,10 @@ func (c *Cursor) Counts() (seeks, nexts int64) {
 }
 
 // NewCursor returns a cursor over the triples matching pat, in the
-// permuted sorted order of the permutation the pattern resolves to. The
-// store must be frozen (a delta overlay is fine — the cursor merges it);
-// on an unfrozen store the cursor is empty and Valid reports false
-// immediately, so callers gate on IsFrozen.
+// permuted sorted order of the permutation the pattern resolves to,
+// merging the base with the delta overlay.
 func (st *Store) NewCursor(pat Pattern) Cursor {
 	var c Cursor
-	if st.frz == nil {
-		c.exhausted = true
-		return c
-	}
 	// mergedRange resolves all sides with the shared shape-to-
 	// permutation mapping, so base, spilled run and in-memory tail
 	// interleave in one order.
@@ -137,14 +131,9 @@ func (st *Store) NewCursor(pat Pattern) Cursor {
 // p-objects contributes one position per object, so this cursor is not
 // an intersection operand. It exists for the batch engine's streamed
 // chain steps, which Seek to each already-bound subject and enumerate
-// the object run via Triple(). The store must be frozen (a delta
-// overlay is merged); otherwise the cursor starts exhausted.
+// the object run via Triple(). A delta overlay is merged.
 func (st *Store) NewCursorPSO(p dict.ID) Cursor {
 	var c Cursor
-	if st.frz == nil {
-		c.exhausted = true
-		return c
-	}
 	c.px = &st.frz.pso
 	c.bpos, c.bhi = c.px.keyRange(p)
 	c.ts = st.dlt.pso

@@ -1,9 +1,10 @@
 package store
 
-// Delta layer: a small sorted in-memory overlay that absorbs writes on
-// top of a frozen base, so an insert is no longer a cache-killing event.
+// Delta layer: a small sorted in-memory overlay that absorbs
+// incremental writes on top of the sorted base, so an insert is not a
+// base rebuild.
 //
-// While the store is frozen, AddID appends the new triple to
+// AddID appends each new triple to
 //
 //   - log: the arrival-ordered delta feed. Consumers that maintain
 //     materializations (internal/incr, internal/viewreg) read it through
@@ -15,16 +16,17 @@ package store
 //     same permutation and merge-iterates the two sorted runs.
 //
 // The delta is disjoint from the base by construction (AddID only
-// reaches it for triples absent from the authoritative nested maps), so
-// merged counts are sums and merged scans never deduplicate.
+// reaches it for triples absent from both base and overlay), so merged
+// counts are sums and merged scans never deduplicate.
 //
 // When the delta reaches the store's compaction threshold — or on an
-// explicit Freeze() — it is folded into a rebuilt frozen base and the
-// base epoch advances: the feed is gone, and materializations pinned to
-// the old epoch must recompute. Deletions are not representable in the
-// overlay; RemoveID on a frozen store falls back to full invalidation.
+// explicit Freeze() or the next AddBatch — it is folded into a rebuilt
+// frozen base and the base epoch advances: the feed is gone, and
+// materializations pinned to the old epoch must recompute. Because a
+// bulk load inserts by binary search here, bulk loads use AddBatch.
 
 import (
+	"cmp"
 	"sort"
 
 	"rdfcube/internal/dict"
@@ -96,6 +98,21 @@ func (d *delta) add(t IDTriple) {
 	d.pso = insertSorted(permPSO, d.pso, t)
 }
 
+// contains reports whether t is in the overlay (either tier).
+func (d *delta) contains(t IDTriple) bool {
+	if d.len() == 0 {
+		return false
+	}
+	if lo, hi := searchPrefix(permSPO, d.spo, 3, t.S, t.P, t.O); lo < hi {
+		return true
+	}
+	if run := d.runPerm(permSPO); len(run) > 0 {
+		lo, hi := searchPrefix(permSPO, run, 3, t.S, t.P, t.O)
+		return lo < hi
+	}
+	return false
+}
+
 // permuteTriple projects t onto a permutation's (c1, c2, c3) key.
 func permuteTriple(kind permKind, t IDTriple) (a, b, c dict.ID) {
 	switch kind {
@@ -121,6 +138,23 @@ func permLess(kind permKind, x, y IDTriple) bool {
 		return bx < by
 	}
 	return cx < cy
+}
+
+// permCmp returns the three-way comparison of two triples by a
+// permutation's key — the sort order of a bulk batch.
+func permCmp(kind permKind) func(x, y IDTriple) int {
+	return func(x, y IDTriple) int {
+		ax, bx, cx := permuteTriple(kind, x)
+		ay, by, cy := permuteTriple(kind, y)
+		switch {
+		case ax != ay:
+			return cmp.Compare(ax, ay)
+		case bx != by:
+			return cmp.Compare(bx, by)
+		default:
+			return cmp.Compare(cx, cy)
+		}
+	}
 }
 
 // insertSorted inserts t into ts, keeping ts sorted by the permuted key.

@@ -1,103 +1,59 @@
 package store
 
-// Differential and regression tests for the delta overlay: a frozen
-// store with pending writes must answer every read operation and all
-// eight triple-pattern shapes identically to the authoritative map path,
-// the (baseEpoch, deltaSeq) version must separate "base rebuilt" from
-// "delta grew", and the delta feed must replay exactly the accepted
-// writes.
+// Differential and regression tests for the delta overlay: a store
+// with pending writes must answer every read operation and all eight
+// triple-pattern shapes identically to the test-only reference of
+// frozen_test.go, the (baseEpoch, deltaSeq) version must separate "base
+// rebuilt" from "delta grew", and the delta feed must replay exactly
+// the accepted writes.
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"rdfcube/internal/dict"
 )
 
-// TestDeltaDifferentialAllShapes freezes a random store, streams more
+// TestDeltaDifferentialAllShapes compacts a random store, streams more
 // random writes through the overlay, and cross-checks every read
-// operation against the map path (captured by thawing a copy at the
-// end — the maps are authoritative in both modes).
+// operation against the reference. A second leg keeps every triple in
+// the overlay of an empty base.
 func TestDeltaDifferentialAllShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 10; trial++ {
-		st := randomTripleStore(rng, 100+rng.Intn(300))
-		st.Freeze()
+		base := randomTriples(rng, 100+rng.Intn(300))
+		st := newTestStore()
+		st.AddBatch(append([]IDTriple(nil), base...))
 
-		// Stream random writes through the frozen store; some are
-		// duplicates of existing triples (no-ops).
+		// Stream random writes; some are duplicates of existing triples
+		// (no-ops).
+		writes := randomTriples(rng, 60)
 		added := 0
-		for i := 0; i < 60; i++ {
-			tr := IDTriple{
-				S: dict.ID(1 + rng.Intn(25)),
-				P: dict.ID(26 + rng.Intn(8)),
-				O: dict.ID(34 + rng.Intn(20)),
-			}
+		for _, tr := range writes {
 			if st.AddID(tr) {
 				added++
 			}
 		}
-		if !st.IsFrozen() {
-			t.Fatal("writes dropped the frozen base")
-		}
 		if st.DeltaLen() != added {
 			t.Fatalf("DeltaLen = %d, want %d", st.DeltaLen(), added)
 		}
-
-		// Capture every operation on the merged path, then on the map
-		// path (same store, thawed), and compare.
+		ref := newRef(base, writes)
 		pats := randomPatterns(rng)
-		type snapshot struct {
-			match    [][]IDTriple
-			count    []int
-			subjects [][]dict.ID
-			objects  [][]dict.ID
-		}
-		capture := func() snapshot {
-			var snap snapshot
-			for _, pat := range pats {
-				m := st.Match(pat)
-				sortTriples(m)
-				snap.match = append(snap.match, m)
-				snap.count = append(snap.count, st.Count(pat))
-				subj := st.Subjects(pat.P, pat.O)
-				sortIDs(subj)
-				snap.subjects = append(snap.subjects, subj)
-				obj := st.Objects(pat.S, pat.P)
-				sortIDs(obj)
-				snap.objects = append(snap.objects, obj)
-			}
-			return snap
-		}
-		merged := capture()
-		for _, pat := range pats {
-			if got, want := st.EstimateCardinality(pat), float64(st.Count(pat)); got != want {
-				t.Fatalf("trial %d pattern %+v: merged estimate %v != exact count %v",
-					trial, pat, got, want)
-			}
-		}
-		st.Thaw()
-		fromMaps := capture()
+		checkAgainstRef(t, fmt.Sprintf("trial %d base+delta", trial), st, ref, pats)
 
-		for i, pat := range pats {
-			if !triplesEqual(merged.match[i], fromMaps.match[i]) {
-				t.Fatalf("trial %d pattern %+v: Match differs\n merged: %v\n maps:   %v",
-					trial, pat, merged.match[i], fromMaps.match[i])
-			}
-			if merged.count[i] != fromMaps.count[i] {
-				t.Fatalf("trial %d pattern %+v: Count differs: merged %d maps %d",
-					trial, pat, merged.count[i], fromMaps.count[i])
-			}
-			if !idsEqual(merged.subjects[i], fromMaps.subjects[i]) {
-				t.Fatalf("trial %d pattern %+v: Subjects differ\n merged: %v\n maps:   %v",
-					trial, pat, merged.subjects[i], fromMaps.subjects[i])
-			}
-			if !idsEqual(merged.objects[i], fromMaps.objects[i]) {
-				t.Fatalf("trial %d pattern %+v: Objects differ\n merged: %v\n maps:   %v",
-					trial, pat, merged.objects[i], fromMaps.objects[i])
-			}
+		deltaOnly := newTestStore()
+		for _, tr := range base {
+			deltaOnly.AddID(tr)
 		}
+		for _, tr := range writes {
+			deltaOnly.AddID(tr)
+		}
+		if deltaOnly.DeltaLen() != len(ref) {
+			t.Fatalf("delta-only store: DeltaLen = %d, want %d", deltaOnly.DeltaLen(), len(ref))
+		}
+		checkAgainstRef(t, fmt.Sprintf("trial %d delta only", trial), deltaOnly, ref, pats)
 	}
 }
 
@@ -135,27 +91,26 @@ func TestDeltaMergedIterationSorted(t *testing.T) {
 }
 
 // TestVersionSemantics pins the (baseEpoch, deltaSeq) protocol: delta
-// writes advance only Seq; compaction, deletion, map-mode writes and
-// delta-discarding thaws advance Base and reset Seq; no-op freezes and
-// thaws leave the version untouched.
+// writes advance only Seq; compaction and AddBatch advance Base and
+// reset Seq; no-op freezes and batches leave the version untouched.
 func TestVersionSemantics(t *testing.T) {
 	st := New()
 	v0 := st.Version()
 
-	// Map-mode write: base bump.
-	st.AddID(IDTriple{S: 1, P: 2, O: 3})
+	// Bulk load: one base bump, no delta.
+	st.AddBatch([]IDTriple{{S: 1, P: 2, O: 3}, {S: 1, P: 2, O: 3}})
 	v1 := st.Version()
-	if v1.Base <= v0.Base || v1.Seq != 0 {
-		t.Fatalf("map-mode write: %+v -> %+v, want base bump with seq 0", v0, v1)
+	if v1.Base != v0.Base+1 || v1.Seq != 0 {
+		t.Fatalf("AddBatch: %+v -> %+v, want one base bump with seq 0", v0, v1)
 	}
 
-	// Freeze of a clean map store: no version change.
+	// Freeze of a store with no delta: no version change.
 	st.Freeze()
 	if st.Version() != v1 {
 		t.Fatalf("clean Freeze changed version: %+v -> %+v", v1, st.Version())
 	}
 
-	// Frozen writes: seq grows, base stable, epoch still advances.
+	// Incremental writes: seq grows, base stable, epoch still advances.
 	e1 := st.Epoch()
 	st.AddID(IDTriple{S: 1, P: 2, O: 4})
 	st.AddID(IDTriple{S: 1, P: 2, O: 5})
@@ -167,9 +122,12 @@ func TestVersionSemantics(t *testing.T) {
 		t.Fatal("Epoch did not advance across delta writes")
 	}
 
-	// Duplicate write: no change.
+	// Duplicate writes, incremental or bulk: no change.
 	if st.AddID(IDTriple{S: 1, P: 2, O: 4}) {
 		t.Fatal("duplicate AddID reported new")
+	}
+	if got := st.AddBatch([]IDTriple{{S: 1, P: 2, O: 3}, {S: 1, P: 2, O: 5}}); len(got) != 0 {
+		t.Fatalf("duplicate AddBatch returned %v", got)
 	}
 	if st.Version() != v2 {
 		t.Fatalf("duplicate write changed version: %+v", st.Version())
@@ -190,34 +148,21 @@ func TestVersionSemantics(t *testing.T) {
 	// Compaction: base bump, seq reset, feed gone.
 	st.Freeze()
 	v3 := st.Version()
-	if v3.Base <= v2.Base || v3.Seq != 0 {
+	if v3.Base != v2.Base+1 || v3.Seq != 0 {
 		t.Fatalf("compaction: %+v, want base bump with seq 0", v3)
 	}
 	if st.DeltaLen() != 0 || st.DeltaSince(0) != nil {
 		t.Fatal("compaction left a delta feed behind")
 	}
 
-	// Clean thaw: no change. Thaw with pending delta: base bump.
-	st.Thaw()
-	if st.Version() != v3 {
-		t.Fatalf("clean Thaw changed version: %+v", st.Version())
-	}
-	st.Freeze()
+	// AddBatch over a pending delta folds it: one base bump.
 	st.AddID(IDTriple{S: 9, P: 9, O: 9})
-	st.Thaw()
-	v4 := st.Version()
-	if v4.Base <= v3.Base || v4.Seq != 0 {
-		t.Fatalf("delta-discarding Thaw: %+v, want base bump", v4)
+	st.AddBatch([]IDTriple{{S: 8, P: 8, O: 8}})
+	if v4 := st.Version(); v4.Base != v3.Base+1 || v4.Seq != 0 || st.DeltaLen() != 0 {
+		t.Fatalf("AddBatch over a delta: %+v (DeltaLen %d), want one base bump and no delta", v4, st.DeltaLen())
 	}
-
-	// Deletion on a frozen store: invalidation, base bump.
-	st.Freeze()
-	st.RemoveID(IDTriple{S: 9, P: 9, O: 9})
-	if st.IsFrozen() {
-		t.Fatal("RemoveID left the store frozen")
-	}
-	if v5 := st.Version(); v5.Base <= v4.Base {
-		t.Fatalf("deletion did not bump the base: %+v", v5)
+	if st.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", st.Len())
 	}
 }
 
@@ -225,8 +170,7 @@ func TestVersionSemantics(t *testing.T) {
 // a rebuilt base automatically.
 func TestCompactionThreshold(t *testing.T) {
 	st := New()
-	st.AddID(IDTriple{S: 1, P: 1, O: 1})
-	st.Freeze()
+	st.AddBatch([]IDTriple{{S: 1, P: 1, O: 1}})
 	st.SetCompactThreshold(8)
 	base := st.Version().Base
 	for o := dict.ID(2); st.Version().Base == base; o++ {
@@ -237,9 +181,6 @@ func TestCompactionThreshold(t *testing.T) {
 	}
 	if st.DeltaLen() != 0 {
 		t.Fatalf("DeltaLen after auto-compaction = %d", st.DeltaLen())
-	}
-	if !st.IsFrozen() {
-		t.Fatal("auto-compaction left the store unfrozen")
 	}
 	if got := st.Count(Pattern{S: 1}); got != 9 {
 		t.Fatalf("Count after auto-compaction = %d, want 9 (1 base + 8 delta)", got)

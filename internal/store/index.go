@@ -1,12 +1,14 @@
 package store
 
-// Frozen, read-optimized triple indexes: the RDF-3X/HDT-style layout.
+// The sorted base: read-optimized triple indexes in the RDF-3X/HDT-style
+// layout, the only representation a store's triples have besides the
+// delta overlay.
 //
-// Freeze() compacts the mutable nested-map indexes into three sorted
-// permutations of the triple set — SPO, POS and OSP — stored column-wise
-// (three parallel []dict.ID slices per permutation) with a first-level
-// offset directory over the leading component. Every triple-pattern
-// shape then resolves to one contiguous range:
+// The base holds four sorted permutations of the triple set — SPO, POS,
+// OSP and PSO — stored column-wise (three parallel []dict.ID slices per
+// permutation) with a first-level offset directory over the leading
+// component. Every triple-pattern shape then resolves to one contiguous
+// range:
 //
 //	first component bound        -> directory binary search, O(log k)
 //	first two components bound   -> + binary search inside the run
@@ -14,19 +16,20 @@ package store
 //
 // so prefix counts are O(log n), range scans are linear walks over
 // contiguous memory, and the Subjects/Objects dedup becomes a sorted-run
-// walk with no maps. Freeze also precomputes per-predicate distinct
-// subject/object counts (one O(n) pass over SPO and POS), which feed the
-// BGP optimizer's bound-aware cardinality estimates.
+// walk with no maps. Every rebuild also precomputes per-predicate
+// distinct subject/object counts (one O(n) pass over SPO and POS),
+// which feed the BGP optimizer's bound-aware cardinality estimates.
 //
-// Inserts do NOT invalidate the frozen state: they accumulate in the
+// A base is only ever built by mergePerm: the previous base merged with
+// sorted runs of new triples. Incremental writes accumulate in the
 // sorted delta overlay of delta.go, and reads merge the base range with
 // the delta range of the same permutation. Freeze on a store with a
 // pending delta compacts — folds the overlay into a rebuilt base and
-// advances the base epoch — as does crossing the compaction threshold.
-// Only deletions (not representable in the append-only overlay) drop
-// the frozen state outright.
+// advances the base epoch — as does crossing the compaction threshold;
+// AddBatch folds a sorted batch in the same way.
 
 import (
+	"slices"
 	"sort"
 
 	"rdfcube/internal/dict"
@@ -71,42 +74,57 @@ type frozen struct {
 	predDistinctO map[dict.ID]int
 }
 
-// Freeze compacts the store onto sorted-array indexes. On a map-only
-// store it builds the frozen base (the version is untouched: contents
-// did not change). On a frozen store with a pending delta it compacts —
-// rebuilds the base from the authoritative maps, clears the overlay and
-// advances the base epoch, so materializations pinned to the old feed
-// know to recompute. Repeated calls on an unmodified store are no-ops.
-func (st *Store) Freeze() {
-	if st.frz != nil {
-		if st.dlt.len() == 0 {
-			return
-		}
-		st.compact()
-		return
+// perms returns the four permutations in permKind order.
+func (f *frozen) perms() [4]*permIndex { return [4]*permIndex{&f.spo, &f.pos, &f.osp, &f.pso} }
+
+// emptyFrozen is the base of a new store: four empty heap permutations.
+func emptyFrozen() *frozen {
+	f := &frozen{}
+	for k, px := range f.perms() {
+		*px = mergePerm(&permIndex{kind: permKind(k)})
 	}
-	st.build()
+	f.computeStats(0)
+	return f
+}
+
+// Freeze compacts a pending delta overlay now: it folds the overlay
+// into a rebuilt base, clears it and advances the base epoch, so
+// materializations pinned to the old feed know to recompute. On a store
+// with no pending delta it is a no-op.
+func (st *Store) Freeze() {
+	if st.dlt.len() > 0 {
+		st.compact()
+	}
 }
 
 // compact folds the delta overlay into a rebuilt frozen base. Base and
-// overlay are two sorted runs of the same permutation order, so the
-// rebuild is a linear merge per permutation — no extraction from the
-// maps and no re-sort.
+// overlay are sorted runs of the same permutation order, so the rebuild
+// is a linear merge per permutation — no re-sort.
 func (st *Store) compact() {
-	st.frz = st.mergedFrozen()
+	st.frz = st.mergedFrozen(nil)
 	st.dlt.reset()
 	st.bumpBase()
 }
 
 // mergedFrozen merges the frozen base with the current delta overlay
-// into a fresh base — the shared read-only heart of inline compaction
-// and PrepareCompaction.
-func (st *Store) mergedFrozen() *frozen {
+// and batch — new triples in (S, P, O) order, disjoint from both — into
+// a fresh base: the shared read-only heart of AddBatch, inline
+// compaction and PrepareCompaction. The batch is re-sorted once per
+// other permutation through one scratch slice.
+func (st *Store) mergedFrozen(batch []IDTriple) *frozen {
 	f := &frozen{}
-	f.spo = mergePerm(&st.frz.spo, st.dlt.runPerm(permSPO), st.dlt.spo)
-	f.pos = mergePerm(&st.frz.pos, st.dlt.runPerm(permPOS), st.dlt.pos)
-	f.osp = mergePerm(&st.frz.osp, st.dlt.runPerm(permOSP), st.dlt.osp)
-	f.pso = mergePerm(&st.frz.pso, st.dlt.runPerm(permPSO), st.dlt.pso)
+	old := st.frz.perms()
+	var scratch []IDTriple
+	for k, px := range f.perms() {
+		kind := permKind(k)
+		sorted := batch
+		if kind != permSPO && len(batch) > 0 {
+			scratch = append(scratch[:0], batch...)
+			slices.SortFunc(scratch, permCmp(kind))
+			sorted = scratch
+		}
+		*px = mergePerm(old[k], st.dlt.runPerm(kind), st.dlt.memPerm(kind), sorted)
+	}
 	f.computeStats(len(st.predCount))
 	return f
 }
@@ -132,11 +150,11 @@ func (pc *PreparedCompaction) Pending() int { return pc.consumed }
 // nil when there is nothing to compact. Hand the result to
 // InstallCompaction under the write lock to swap it in.
 func (st *Store) PrepareCompaction() *PreparedCompaction {
-	if st.frz == nil || st.dlt.len() == 0 {
+	if st.dlt.len() == 0 {
 		return nil
 	}
 	return &PreparedCompaction{
-		f:        st.mergedFrozen(),
+		f:        st.mergedFrozen(nil),
 		against:  st.frz,
 		base:     st.Version().Base,
 		consumed: st.dlt.len(),
@@ -149,7 +167,7 @@ func (st *Store) PrepareCompaction() *PreparedCompaction {
 // as with any compaction), and writes accepted after the prepare are
 // re-queued as the head of the new overlay, preserving arrival order.
 // It reports false — discarding the prepared work — when the store's
-// base moved since the prepare (an inline compaction, deletion, thaw or
+// base moved since the prepare (an inline compaction, AddBatch or
 // explicit Freeze won the race).
 func (st *Store) InstallCompaction(pc *PreparedCompaction) bool {
 	if pc == nil || st.frz != pc.against || st.Version().Base != pc.base {
@@ -166,19 +184,22 @@ func (st *Store) InstallCompaction(pc *PreparedCompaction) bool {
 	return true
 }
 
-// mergePerm merges a frozen permutation with the (up to two) sorted
-// delta runs of the same permutation — the spilled run and the
-// in-memory tail — into a fresh heap-backed columnar index. The three
-// sides are pairwise disjoint by construction, so the merge never
-// deduplicates.
-func mergePerm(px *permIndex, run, mem []IDTriple) permIndex {
-	ts := run
-	if len(ts) == 0 {
-		ts = mem
-	} else if len(mem) > 0 {
-		// Pre-merge the two delta sides; they are small relative to the
-		// base, so the extra pass is noise next to the base merge.
-		ts = mergeTripleRuns(px.kind, run, mem)
+// mergePerm merges a frozen permutation with sorted runs of the same
+// permutation — the delta's spilled run, its in-memory tail, a bulk
+// batch — into a fresh heap-backed columnar index. All sides are
+// pairwise disjoint by construction, so the merge never deduplicates.
+// The runs are pre-merged first; they are small relative to the base
+// or, for a bulk load into an empty base, the only side.
+func mergePerm(px *permIndex, runs ...[]IDTriple) permIndex {
+	var ts []IDTriple
+	for _, r := range runs {
+		switch {
+		case len(r) == 0:
+		case len(ts) == 0:
+			ts = r
+		default:
+			ts = mergeTripleRuns(px.kind, ts, r)
+		}
 	}
 	n := px.len() + len(ts)
 	out := permIndex{kind: px.kind}
@@ -261,53 +282,6 @@ func colsLess(a1, b1, c1, a2, b2, c2 dict.ID) bool {
 	return c1 < c2
 }
 
-// rehydrate populates the nested maps of a snapshot-loaded store from
-// the frozen base and delta overlay, returning it to the invariant that
-// the maps are authoritative. Deletion and Thaw — the operations that
-// need per-triple mutable structure — call it on demand; the append-only
-// serving paths never do.
-func (st *Store) rehydrate() {
-	if !st.noMaps {
-		return
-	}
-	st.ForEach(Pattern{}, func(t IDTriple) bool {
-		insert3(st.spo, t.S, t.P, t.O)
-		insert3(st.pos, t.P, t.O, t.S)
-		insert3(st.osp, t.O, t.S, t.P)
-		return true
-	})
-	st.noMaps = false
-}
-
-// build constructs the frozen indexes from the nested maps.
-func (st *Store) build() {
-	n := st.size
-	base := make([]IDTriple, 0, n)
-	for s, m2 := range st.spo {
-		for p, leaf := range m2 {
-			for o := range leaf {
-				base = append(base, IDTriple{s, p, o})
-			}
-		}
-	}
-	f := &frozen{
-		predDistinctS: make(map[dict.ID]int, len(st.predCount)),
-		predDistinctO: make(map[dict.ID]int, len(st.predCount)),
-	}
-	// One scratch slice is re-copied from base for each permutation's
-	// sort, keeping Freeze's transient footprint at 2x the triple set
-	// instead of 4x. The component mapping is permuteTriple (delta.go),
-	// the same one the delta overlay sorts by — merged reads depend on
-	// base and overlay agreeing on the permuted order.
-	scratch := make([]IDTriple, n)
-	f.spo.build(permSPO, base, scratch)
-	f.pos.build(permPOS, base, scratch)
-	f.osp.build(permOSP, base, scratch)
-	f.pso.build(permPSO, base, scratch)
-	f.computeStats(len(st.predCount))
-	st.frz = f
-}
-
 // computeStats derives the per-predicate distinct counts from the sorted
 // permutations: distinct subjects per predicate are the distinct
 // (c1,c2)=(s,p) pairs in SPO grouped by p, distinct objects the distinct
@@ -353,50 +327,9 @@ func (f *frozen) computeStats(sizeHint int) {
 // rebuildPSO derives the PSO permutation from the SPO columns — the
 // load-time fallback for v2 snapshots written before PSO existed.
 func (f *frozen) rebuildPSO() {
-	n := f.spo.len()
-	base := make([]IDTriple, 0, n)
-	base = f.spo.appendRange(base, 0, n)
-	scratch := make([]IDTriple, n)
-	f.pso.build(permPSO, base, scratch)
-}
-
-// Thaw drops the frozen indexes (and any delta overlay), returning the
-// store to its mutable map-only state. Useful for benchmarking the two
-// paths against each other and before sustained write bursts. Discarding
-// a non-empty overlay loses the delta feed, so that case advances the
-// base epoch.
-func (st *Store) Thaw() {
-	if st.frz == nil {
-		return
-	}
-	st.rehydrate() // a snapshot-loaded store must regain its maps first
-	st.frz = nil
-	if st.dlt.len() > 0 {
-		st.dlt.reset()
-		st.bumpBase()
-	}
-}
-
-// IsFrozen reports whether the store serves reads from the compacted
-// base (possibly merged with a delta overlay).
-func (st *Store) IsFrozen() bool { return st.frz != nil }
-
-// build sorts base under the permutation's component order (using
-// scratch, len(base), as sort space) and scatters it into the columnar
-// layout, then derives the first-level directory.
-func (px *permIndex) build(kind permKind, base, scratch []IDTriple) {
-	px.kind = kind
-	n := len(base)
-	perm := scratch
-	copy(perm, base)
-	sort.Slice(perm, func(i, j int) bool { return permLess(kind, perm[i], perm[j]) })
-	cols := make([]dict.ID, 3*n)
-	a1, a2, a3 := cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
-	for i, t := range perm {
-		a1[i], a2[i], a3[i] = permuteTriple(kind, t)
-	}
-	px.c1, px.c2, px.c3 = heapCol(a1), heapCol(a2), heapCol(a3)
-	px.buildDirectory()
+	ts := f.spo.appendRange(make([]IDTriple, 0, f.spo.len()), 0, f.spo.len())
+	slices.SortFunc(ts, permCmp(permPSO))
+	f.pso = mergePerm(&permIndex{kind: permPSO}, ts)
 }
 
 // buildDirectory derives the first-level offset directory from the

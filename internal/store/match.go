@@ -16,87 +16,16 @@ type Pattern struct {
 }
 
 // ForEach calls fn for every triple matching pat, stopping early if fn
-// returns false. Iteration order is unspecified on a mutable store and
-// sorted (in the chosen permutation's order) on a frozen one — including
-// under a pending delta, where the base and overlay ranges of the same
-// permutation are merge-iterated.
-//
-// On a frozen store every shape is one contiguous range of a sorted
-// permutation (see index.go) plus, when writes have accumulated, the
-// matching range of the sorted delta overlay (delta.go). The map
-// fallback picks the index whose prefix covers the bound positions:
-//
-//	S P O  -> spo point lookup        S - -  -> spo[s] walk
-//	S P -  -> spo[s][p] walk          - P O  -> pos[p][o] walk
-//	S - O  -> osp[o][s] walk          - P -  -> pos[p] walk
-//	- - O  -> osp[o] walk             - - -  -> full spo walk
+// returns false. Triples arrive in the sorted order of the permutation
+// the pattern resolves to: every shape is one contiguous range of a
+// sorted permutation of the base (see index.go) plus, when writes have
+// accumulated, the matching range of the sorted delta overlay
+// (delta.go), merge-iterated in the same order.
 func (st *Store) ForEach(pat Pattern, fn func(t IDTriple) bool) {
-	if st.frz != nil {
-		if st.dlt.len() == 0 {
-			st.frz.forEach(pat, fn)
-		} else {
-			st.forEachMerged(pat, fn)
-		}
-		return
-	}
-	sB, pB, oB := pat.S != Wild, pat.P != Wild, pat.O != Wild
-	switch {
-	case sB && pB && oB:
-		if st.ContainsID(IDTriple{pat.S, pat.P, pat.O}) {
-			fn(IDTriple{pat.S, pat.P, pat.O})
-		}
-	case sB && pB:
-		for o := range st.spo[pat.S][pat.P] {
-			if !fn(IDTriple{pat.S, pat.P, o}) {
-				return
-			}
-		}
-	case pB && oB:
-		for s := range st.pos[pat.P][pat.O] {
-			if !fn(IDTriple{s, pat.P, pat.O}) {
-				return
-			}
-		}
-	case sB && oB:
-		for p := range st.osp[pat.O][pat.S] {
-			if !fn(IDTriple{pat.S, p, pat.O}) {
-				return
-			}
-		}
-	case sB:
-		for p, leaf := range st.spo[pat.S] {
-			for o := range leaf {
-				if !fn(IDTriple{pat.S, p, o}) {
-					return
-				}
-			}
-		}
-	case pB:
-		for o, leaf := range st.pos[pat.P] {
-			for s := range leaf {
-				if !fn(IDTriple{s, pat.P, o}) {
-					return
-				}
-			}
-		}
-	case oB:
-		for s, leaf := range st.osp[pat.O] {
-			for p := range leaf {
-				if !fn(IDTriple{s, p, pat.O}) {
-					return
-				}
-			}
-		}
-	default:
-		for s, m2 := range st.spo {
-			for p, leaf := range m2 {
-				for o := range leaf {
-					if !fn(IDTriple{s, p, o}) {
-						return
-					}
-				}
-			}
-		}
+	if st.dlt.len() == 0 {
+		st.frz.forEach(pat, fn)
+	} else {
+		st.forEachMerged(pat, fn)
 	}
 }
 
@@ -104,13 +33,12 @@ func (st *Store) ForEach(pat Pattern, fn func(t IDTriple) bool) {
 // column slices in (S, P, O) orientation — direct, zero-copy views into
 // the frozen permutation the pattern resolves to, in that permutation's
 // sorted order (the same order ForEach visits). It reports ok = false
-// when the store is not frozen, a delta overlay is pending (the merged
-// view is not contiguous), or the base is mmap-backed (there are no
+// when a delta overlay is pending (the merged view is not contiguous), or the base is mmap-backed (there are no
 // materialized arrays to alias — use PatternColumnRange, which fills
 // caller buffers block-wise, instead); callers then fall back to
 // ForEach. The batch engine's seed scans bulk-copy from these slices.
 func (st *Store) PatternColumns(pat Pattern) (s, p, o []dict.ID, ok bool) {
-	if st.frz == nil || st.dlt.len() > 0 {
+	if st.dlt.len() > 0 {
 		return nil, nil, nil, false
 	}
 	px, lo, hi := st.frz.patternRange(pat)
@@ -132,7 +60,7 @@ func (st *Store) PatternColumns(pat Pattern) (s, p, o []dict.ID, ok bool) {
 }
 
 // ColumnRange is a window onto the triples matching one pattern on a
-// frozen store with no pending delta — the copying counterpart of
+// store with no pending delta — the copying counterpart of
 // PatternColumns for bases whose columns are not materialized in heap
 // (the mmap-backed read path). Fill decodes into caller buffers
 // block-at-a-time, so the batch engine's seed scans stay bulk
@@ -184,38 +112,30 @@ func (cr *ColumnRange) Fill(off int, s, p, o []dict.ID) int {
 }
 
 // PatternColumnRange resolves pat to a fillable column range. Like
-// PatternColumns it reports ok = false when the store is not frozen or
-// a delta overlay is pending; unlike it, it works over mapped bases.
+// PatternColumns it reports ok = false when a delta overlay is pending;
+// unlike it, it works over mapped bases.
 func (st *Store) PatternColumnRange(pat Pattern) (ColumnRange, bool) {
-	if st.frz == nil || st.dlt.len() > 0 {
+	if st.dlt.len() > 0 {
 		return ColumnRange{}, false
 	}
 	px, lo, hi := st.frz.patternRange(pat)
 	return ColumnRange{px: px, lo: lo, hi: hi}, true
 }
 
-// Match returns all triples matching pat. Prefer ForEach when the caller
-// can consume triples incrementally. On a frozen store the result is
-// preallocated to its exact size.
+// Match returns all triples matching pat, in ForEach order. Prefer
+// ForEach when the caller can consume triples incrementally. The result
+// is preallocated to its exact size.
 func (st *Store) Match(pat Pattern) []IDTriple {
-	if st.frz != nil {
-		if st.dlt.len() == 0 {
-			return st.frz.match(pat)
-		}
-		px, blo, bhi, ds := st.mergedRange(pat)
-		n := (bhi - blo) + ds.count()
-		if n == 0 {
-			return nil
-		}
-		out := make([]IDTriple, 0, n)
-		mergeRanges(px, blo, bhi, ds, func(t IDTriple) bool {
-			out = append(out, t)
-			return true
-		})
-		return out
+	if st.dlt.len() == 0 {
+		return st.frz.match(pat)
 	}
-	var out []IDTriple
-	st.ForEach(pat, func(t IDTriple) bool {
+	px, blo, bhi, ds := st.mergedRange(pat)
+	n := (bhi - blo) + ds.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]IDTriple, 0, n)
+	mergeRanges(px, blo, bhi, ds, func(t IDTriple) bool {
 		out = append(out, t)
 		return true
 	})
@@ -223,105 +143,48 @@ func (st *Store) Match(pat Pattern) []IDTriple {
 }
 
 // Count returns the number of triples matching pat without materializing
-// them. On a frozen store every shape is O(log n) via the offset
-// directories — plus an O(log d) delta-range count when writes are
-// pending (base and overlay are disjoint, so the counts add); on the
-// mutable maps the single-bound S and O shapes cost one leaf-map walk.
+// them. Every shape is O(log n) via the offset directories — plus an
+// O(log d) delta-range count when writes are pending (base and overlay
+// are disjoint, so the counts add).
 func (st *Store) Count(pat Pattern) int {
-	if st.frz != nil {
-		n := st.frz.count(pat)
-		if st.dlt.len() > 0 {
-			n += st.dlt.count(pat)
-		}
-		return n
+	n := st.frz.count(pat)
+	if st.dlt.len() > 0 {
+		n += st.dlt.count(pat)
 	}
-	sB, pB, oB := pat.S != Wild, pat.P != Wild, pat.O != Wild
-	switch {
-	case sB && pB && oB:
-		if st.ContainsID(IDTriple{pat.S, pat.P, pat.O}) {
-			return 1
-		}
-		return 0
-	case sB && pB:
-		return len(st.spo[pat.S][pat.P])
-	case pB && oB:
-		return len(st.pos[pat.P][pat.O])
-	case sB && oB:
-		return len(st.osp[pat.O][pat.S])
-	case sB:
-		n := 0
-		for _, leaf := range st.spo[pat.S] {
-			n += len(leaf)
-		}
-		return n
-	case pB:
-		return st.predCount[pat.P]
-	case oB:
-		n := 0
-		for _, leaf := range st.osp[pat.O] {
-			n += len(leaf)
-		}
-		return n
-	default:
-		return st.size
-	}
+	return n
 }
 
 // Subjects returns the distinct subject IDs of triples with predicate p
-// and object o (either may be Wild). On a frozen store this is a
-// sorted-run walk with no intermediate map.
+// and object o (either may be Wild), ascending: a sorted-run walk with
+// no intermediate map.
 func (st *Store) Subjects(p, o dict.ID) []dict.ID {
-	if st.frz != nil {
-		base := st.frz.subjects(p, o)
-		if st.dlt.len() == 0 {
-			return base
-		}
-		ds := st.dlt.spans(Pattern{P: p, O: o})
-		for i := ds.rlo; i < ds.rhi; i++ {
-			base = append(base, ds.run[i].S)
-		}
-		for i := ds.mlo; i < ds.mhi; i++ {
-			base = append(base, ds.mem[i].S)
-		}
-		return sortDedup(base)
+	base := st.frz.subjects(p, o)
+	if st.dlt.len() == 0 {
+		return base
 	}
-	seen := make(map[dict.ID]struct{})
-	st.ForEach(Pattern{P: p, O: o}, func(t IDTriple) bool {
-		seen[t.S] = struct{}{}
-		return true
-	})
-	out := make([]dict.ID, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	ds := st.dlt.spans(Pattern{P: p, O: o})
+	for i := ds.rlo; i < ds.rhi; i++ {
+		base = append(base, ds.run[i].S)
 	}
-	return out
+	for i := ds.mlo; i < ds.mhi; i++ {
+		base = append(base, ds.mem[i].S)
+	}
+	return sortDedup(base)
 }
 
 // Objects returns the distinct object IDs of triples with subject s and
-// predicate p (either may be Wild).
+// predicate p (either may be Wild), ascending.
 func (st *Store) Objects(s, p dict.ID) []dict.ID {
-	if st.frz != nil {
-		base := st.frz.objects(s, p)
-		if st.dlt.len() == 0 {
-			return base
-		}
-		ds := st.dlt.spans(Pattern{S: s, P: p})
-		for i := ds.rlo; i < ds.rhi; i++ {
-			base = append(base, ds.run[i].O)
-		}
-		for i := ds.mlo; i < ds.mhi; i++ {
-			base = append(base, ds.mem[i].O)
-		}
-		return sortDedup(base)
+	base := st.frz.objects(s, p)
+	if st.dlt.len() == 0 {
+		return base
 	}
-	seen := make(map[dict.ID]struct{})
-	st.ForEach(Pattern{S: s, P: p}, func(t IDTriple) bool {
-		seen[t.O] = struct{}{}
-		return true
-	})
-	out := make([]dict.ID, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
+	ds := st.dlt.spans(Pattern{S: s, P: p})
+	for i := ds.rlo; i < ds.rhi; i++ {
+		base = append(base, ds.run[i].O)
 	}
-	return out
+	for i := ds.mlo; i < ds.mhi; i++ {
+		base = append(base, ds.mem[i].O)
+	}
+	return sortDedup(base)
 }

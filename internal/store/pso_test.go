@@ -97,11 +97,16 @@ func TestPSOCursorSeek(t *testing.T) {
 	}
 }
 
+// TestPSOCursorUnfrozen: a PSO cursor on a store whose only triple sits
+// in the delta overlay (never compacted) sees it.
 func TestPSOCursorUnfrozen(t *testing.T) {
 	st := New()
 	st.AddID(IDTriple{S: 1, P: 2, O: 3})
-	if c := st.NewCursorPSO(2); c.Valid() {
-		t.Fatal("PSO cursor on an unfrozen store must be exhausted")
+	if c := st.NewCursorPSO(2); !c.Valid() || c.Triple() != (IDTriple{S: 1, P: 2, O: 3}) {
+		t.Fatal("PSO cursor on a delta-only store must see the overlay")
+	}
+	if c := st.NewCursorPSO(3); c.Valid() {
+		t.Fatal("PSO cursor over an absent predicate must be exhausted")
 	}
 }
 
@@ -226,7 +231,7 @@ func TestPatternColumns(t *testing.T) {
 	if _, _, _, ok := wd.PatternColumns(Pattern{}); ok {
 		t.Fatal("PatternColumns must refuse a store with a pending delta overlay")
 	}
-	if _, _, _, ok := New().PatternColumns(Pattern{}); ok {
-		t.Fatal("PatternColumns must refuse an unfrozen store")
+	if s, _, _, ok := New().PatternColumns(Pattern{}); !ok || len(s) != 0 {
+		t.Fatal("PatternColumns must serve an empty store as zero rows")
 	}
 }

@@ -44,7 +44,7 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 			return err
 		}
 	}
-	writeUvarint(bw, uint64(st.size))
+	writeUvarint(bw, uint64(st.Len()))
 	var err error
 	st.ForEach(Pattern{}, func(t IDTriple) bool {
 		writeUvarint(bw, uint64(t.S))
@@ -59,7 +59,9 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot deserializes a snapshot produced by WriteSnapshot into a
-// fresh store with a fresh dictionary.
+// fresh store with a fresh dictionary. The triples are validated, then
+// loaded with one AddBatch, so the store comes back compacted onto the
+// sorted base with no pending delta.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -95,6 +97,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
+	var ts []IDTriple
 	for i := uint64(0); i < nTriples; i++ {
 		s, err1 := binary.ReadUvarint(br)
 		p, err2 := binary.ReadUvarint(br)
@@ -105,22 +108,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		if s == 0 || s > nTerms || p == 0 || p > nTerms || o == 0 || o > nTerms {
 			return nil, fmt.Errorf("%w: triple %d references unknown term", ErrBadSnapshot, i)
 		}
-		st.AddID(IDTriple{dict.ID(s), dict.ID(p), dict.ID(o)})
+		ts = append(ts, IDTriple{dict.ID(s), dict.ID(p), dict.ID(o)})
 	}
-	return st, nil
-}
-
-// ReadSnapshotFrozen is ReadSnapshot followed by Freeze: the store is
-// returned already compacted onto the sorted columnar indexes, so the
-// first query served after a snapshot load does not pay the unfrozen
-// map-path cost. This is what the CLIs and the rdfcubed daemon use on
-// their load-to-serve boundary.
-func ReadSnapshotFrozen(r io.Reader) (*Store, error) {
-	st, err := ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	st.Freeze()
+	st.AddBatch(ts)
 	return st, nil
 }
 

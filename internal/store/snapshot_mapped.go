@@ -193,14 +193,8 @@ func openMapped(ms *mappedSnapshot, opts MappedOptions) (*Store, error) {
 	}
 
 	st := NewWithDict(dict.NewOverBase(md))
-	st.frz = frz
-	st.size = int(nTriples)
-	st.noMaps = true
+	st.installBase(frz, baseEpoch)
 	st.noInlineCompact = true
-	st.ver.Store(baseEpoch << 32)
-	for i, p := range frz.pos.keys {
-		st.predCount[p] = frz.pos.off[i+1] - frz.pos.off[i]
-	}
 	ms.frz = frz
 	ms.epoch = baseEpoch
 	st.mapped = ms
@@ -208,7 +202,7 @@ func openMapped(ms *mappedSnapshot, opts MappedOptions) (*Store, error) {
 }
 
 // MappedBaseClean reports whether the snapshot file backing this store
-// still holds exactly the current frozen base (no compaction, deletion
+// still holds exactly the current frozen base (no compaction, bulk load
 // or freeze has moved the base since the mapping was created) — when
 // true, a checkpoint can skip rewriting the snapshot.
 func (st *Store) MappedBaseClean() bool {

@@ -3,8 +3,8 @@ package store
 // Snapshot format v2: the frozen layout on disk.
 //
 // Where the v1 format (snapshot.go) is a flat triple list that the
-// reader must re-insert and re-Freeze — paying the nested-map build and
-// three sorts on every load — v2 serializes the *frozen* layout itself:
+// reader must re-sort into every permutation on each load, v2
+// serializes the *frozen* layout itself:
 //
 //	section META  baseEpoch, triple count, term count
 //	section DICT  front-coded dictionary blocks, ID order
@@ -13,9 +13,8 @@ package store
 //
 // (section framing, checksums and codecs in internal/persist). Loading
 // is one sequential pass that decodes straight into the columnar arrays:
-// no re-sort, no nested-map rebuild — the store comes back in the
-// mapless frozen mode (see Store.noMaps) with its maps rehydrated only
-// if a deletion or Thaw ever needs them. The section table carries
+// no re-sort and no merge — the store comes back serving the decoded
+// base with an empty delta overlay. The section table carries
 // per-section lengths and CRCs, so a future reader can mmap the file and
 // wire the columns in place; today's reader validates every structural
 // invariant (ascending keys, in-run sort order, ID ranges) before
@@ -55,10 +54,9 @@ const (
 )
 
 // WriteFrozenSnapshot serializes the complete store in the frozen v2
-// format. A pending delta overlay (or an unfrozen store) is compacted
-// first via Freeze, so the snapshot reflects every accepted triple; note
-// that compacting moves the base epoch, invalidating delta feeds pinned
-// to the previous base.
+// format. A pending delta overlay is compacted first via Freeze, so the
+// snapshot reflects every accepted triple; note that compacting moves
+// the base epoch, invalidating delta feeds pinned to the previous base.
 func (st *Store) WriteFrozenSnapshot(w io.Writer) error {
 	st.Freeze()
 	return st.WriteFrozenBase(w)
@@ -67,11 +65,8 @@ func (st *Store) WriteFrozenSnapshot(w io.Writer) error {
 // WriteFrozenBase serializes the frozen base columns and the full
 // dictionary, leaving any delta overlay out: the checkpointing daemon
 // pairs this with its write-ahead log, which holds exactly the delta
-// tail. The store must be frozen.
+// tail.
 func (st *Store) WriteFrozenBase(w io.Writer) error {
-	if st.frz == nil {
-		return fmt.Errorf("store: WriteFrozenBase requires a frozen store")
-	}
 	terms := st.dict.Terms()
 	fw := persist.NewFileWriter(snapshotMagic, snapshotVersionFrozen)
 
@@ -218,10 +213,10 @@ func decodePerm(d *persist.Dec, kind permKind, wantN uint64, termCount uint64) (
 }
 
 // OpenFrozenSnapshot loads a snapshot in either format: a v2 frozen
-// snapshot decodes straight into the columnar indexes (the store is
-// returned frozen, in the mapless mode), while a v1 flat snapshot falls
-// back to ReadSnapshotFrozen — load, rebuild, Freeze. Malformed input of
-// either version returns an error wrapping ErrBadSnapshot.
+// snapshot decodes straight into the columnar indexes, while a v1 flat
+// snapshot falls back to ReadSnapshot — one AddBatch of its triples.
+// Either way the store comes back with no pending delta. Malformed
+// input of either version returns an error wrapping ErrBadSnapshot.
 func OpenFrozenSnapshot(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(5)
@@ -232,7 +227,7 @@ func OpenFrozenSnapshot(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, head[:4])
 	}
 	if head[4] == snapshotVersion {
-		return ReadSnapshotFrozen(br)
+		return ReadSnapshot(br)
 	}
 	f, err := persist.ReadFile(br, snapshotMagic)
 	if err != nil {
@@ -308,13 +303,6 @@ func OpenFrozenSnapshot(r io.Reader) (*Store, error) {
 	}
 	frz.computeStats(len(frz.pos.keys))
 
-	st.frz = frz
-	st.size = int(nTriples)
-	st.noMaps = true
-	st.ver.Store(baseEpoch << 32)
-	// Per-predicate triple counts are the POS run lengths.
-	for i, p := range frz.pos.keys {
-		st.predCount[p] = frz.pos.off[i+1] - frz.pos.off[i]
-	}
+	st.installBase(frz, baseEpoch)
 	return st, nil
 }

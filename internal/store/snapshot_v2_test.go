@@ -86,8 +86,8 @@ func TestFrozenSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.IsFrozen() {
-		t.Fatal("reloaded store is not frozen")
+	if got.DeltaLen() != 0 {
+		t.Fatal("reloaded store has a pending delta")
 	}
 	diffStores(t, st, got)
 	// Dictionary IDs must be assigned identically.
@@ -110,8 +110,8 @@ func TestFrozenSnapshotV1Fallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.IsFrozen() {
-		t.Fatal("v1 fallback store is not frozen")
+	if got.DeltaLen() != 0 {
+		t.Fatal("v1 fallback store has a pending delta")
 	}
 	diffStores(t, st, got)
 }
@@ -137,9 +137,9 @@ func TestFrozenSnapshotFoldsDelta(t *testing.T) {
 	diffStores(t, st, got)
 }
 
-// TestMaplessWrites exercises the snapshot-loaded (mapless) store under
-// delta writes: dedup, merged reads, version accounting and threshold
-// compaction, differentially against a map-backed twin.
+// TestMaplessWrites exercises the snapshot-loaded store under delta
+// writes: dedup, merged reads, version accounting and threshold
+// compaction, differentially against a twin built in memory.
 func TestMaplessWrites(t *testing.T) {
 	st := buildTestStore(t, 100)
 	var buf bytes.Buffer
@@ -154,10 +154,10 @@ func TestMaplessWrites(t *testing.T) {
 		t.Fatalf("base epoch %d, want %d", loaded.Version().Base, st.Version().Base)
 	}
 
-	// Duplicate insert must be rejected in mapless mode.
+	// Duplicate insert must be rejected against the loaded base.
 	dup := rdf.Triple{S: rdf.NewIRI("http://ex.org/user0"), P: rdf.Type, O: rdf.NewIRI("http://ex.org/User")}
 	if loaded.Add(dup) {
-		t.Fatal("duplicate accepted by mapless store")
+		t.Fatal("duplicate accepted by snapshot-loaded store")
 	}
 	if loaded.DeltaLen() != 0 {
 		t.Fatal("duplicate reached the delta overlay")
@@ -182,37 +182,10 @@ func TestMaplessWrites(t *testing.T) {
 		t.Fatal("threshold compaction should have moved the base epoch")
 	}
 
-	// ContainsID after compaction (still mapless).
+	// ContainsID after compaction.
 	if !loaded.Contains(dup) {
-		t.Fatal("lost a base triple across mapless compaction")
+		t.Fatal("lost a base triple across compaction")
 	}
-}
-
-func TestMaplessRemoveRehydrates(t *testing.T) {
-	st := buildTestStore(t, 30)
-	var buf bytes.Buffer
-	if err := st.WriteFrozenSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := OpenFrozenSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := rdf.Triple{S: rdf.NewIRI("http://ex.org/user3"), P: rdf.Type, O: rdf.NewIRI("http://ex.org/User")}
-	if !loaded.Remove(victim) {
-		t.Fatal("Remove failed on mapless store")
-	}
-	if loaded.Contains(victim) {
-		t.Fatal("triple still present after Remove")
-	}
-	if loaded.Len() != st.Len()-1 {
-		t.Fatalf("Len = %d, want %d", loaded.Len(), st.Len()-1)
-	}
-	// The store fell back to map mode; writes must still work.
-	if !loaded.Add(victim) {
-		t.Fatal("re-insert failed after rehydration")
-	}
-	diffStores(t, st, loaded)
 }
 
 func TestOpenFrozenSnapshotErrors(t *testing.T) {

@@ -66,12 +66,8 @@ func (st *Store) WriteFrozenSnapshotV3(w io.Writer) error {
 
 // WriteFrozenBaseV3 serializes the frozen base columns and the full
 // dictionary in the v3 format, leaving any delta overlay out — the
-// checkpoint artifact of the mapped serving mode. The store must be
-// frozen.
+// checkpoint artifact of the mapped serving mode.
 func (st *Store) WriteFrozenBaseV3(w io.Writer) error {
-	if st.frz == nil {
-		return fmt.Errorf("store: WriteFrozenBaseV3 requires a frozen store")
-	}
 	return writeFrozenBaseV3(w, st.Version().Base, st.frz, st.dict.Terms())
 }
 
@@ -442,12 +438,6 @@ func openFrozenV3Heap(f *persist.File) (*Store, error) {
 	}
 	frz.computeStats(len(frz.pos.keys))
 
-	st.frz = frz
-	st.size = int(nTriples)
-	st.noMaps = true
-	st.ver.Store(baseEpoch << 32)
-	for i, p := range frz.pos.keys {
-		st.predCount[p] = frz.pos.off[i+1] - frz.pos.off[i]
-	}
+	st.installBase(frz, baseEpoch)
 	return st, nil
 }

@@ -12,101 +12,45 @@ type Stats struct {
 
 // Stats returns store-level statistics.
 func (st *Store) Stats() Stats {
-	return Stats{Triples: st.size, Predicates: len(st.predCount)}
+	return Stats{Triples: st.Len(), Predicates: len(st.predCount)}
 }
 
 // PredicateCount returns the number of triples with predicate p.
 func (st *Store) PredicateCount(p dict.ID) int { return st.predCount[p] }
 
 // DistinctSubjects returns the number of distinct subjects of predicate
-// p. On a frozen store this is the precomputed O(1) lookup, plus — with
-// a pending delta — the O(log d) count of p's delta triples, an upper
-// bound that keeps the only consumer (the BGP cardinality estimator) off
-// the O(triples-of-p) map walk on the hot planning path. The map
-// fallback is exact.
+// p: the base's precomputed O(1) count plus — with a pending delta — the
+// O(log d) count of p's delta triples, an upper bound that keeps the
+// only consumer (the BGP cardinality estimator) off an O(triples-of-p)
+// walk on the hot planning path.
 func (st *Store) DistinctSubjects(p dict.ID) int {
-	if st.frz != nil {
-		return st.frz.predDistinctS[p] + st.dlt.count(Pattern{P: p})
-	}
-	seen := make(map[dict.ID]struct{})
-	for _, leaf := range st.pos[p] {
-		for s := range leaf {
-			seen[s] = struct{}{}
-		}
-	}
-	return len(seen)
+	return st.frz.predDistinctS[p] + st.dlt.count(Pattern{P: p})
 }
 
 // DistinctObjects returns the number of distinct objects of predicate p
 // (an upper bound under a pending delta, like DistinctSubjects).
 func (st *Store) DistinctObjects(p dict.ID) int {
-	if st.frz != nil {
-		return st.frz.predDistinctO[p] + st.dlt.count(Pattern{P: p})
-	}
-	return len(st.pos[p])
+	return st.frz.predDistinctO[p] + st.dlt.count(Pattern{P: p})
 }
 
 // DistinctSubjectsAll returns the number of distinct subjects in the
-// store (any predicate). The nested maps track this exactly; on a
-// snapshot-loaded store (no maps) the SPO directory keys count the base
-// exactly and the delta size is added as an upper bound — the only
-// consumer is the cardinality estimator.
+// store (any predicate): the SPO directory keys count the base exactly
+// and the delta size is added as an upper bound — the only consumer is
+// the cardinality estimator.
 func (st *Store) DistinctSubjectsAll() int {
-	if st.noMaps {
-		return len(st.frz.spo.keys) + st.dlt.len()
-	}
-	return len(st.spo)
+	return len(st.frz.spo.keys) + st.dlt.len()
 }
 
 // DistinctObjectsAll returns the number of distinct objects in the store
-// (any predicate), with the same bound as DistinctSubjectsAll on a
-// snapshot-loaded store.
+// (any predicate), with the same bound as DistinctSubjectsAll.
 func (st *Store) DistinctObjectsAll() int {
-	if st.noMaps {
-		return len(st.frz.osp.keys) + st.dlt.len()
-	}
-	return len(st.osp)
+	return len(st.frz.osp.keys) + st.dlt.len()
 }
 
-// EstimateCardinality estimates the number of triples matching pat. On a
-// frozen store every shape resolves to an exact range length through the
-// offset directories (O(log n)), plus the delta range when writes are
-// pending; on the mutable maps the prefix-covered shapes are exact and
-// the single-bound S/O shapes use uniformity assumptions to avoid a leaf
-// walk. Used by the BGP optimizer to order joins.
+// EstimateCardinality estimates the number of triples matching pat for
+// the BGP optimizer's join ordering. Every shape resolves to an exact
+// range length through the offset directories (O(log n)), plus the
+// delta range when writes are pending.
 func (st *Store) EstimateCardinality(pat Pattern) float64 {
-	if st.frz != nil {
-		return float64(st.Count(pat))
-	}
-	sB, pB, oB := pat.S != Wild, pat.P != Wild, pat.O != Wild
-	n := float64(st.size)
-	if n == 0 {
-		return 0
-	}
-	switch {
-	case sB && pB && oB:
-		return 1
-	case sB && pB:
-		return float64(len(st.spo[pat.S][pat.P])) // exact, cheap
-	case pB && oB:
-		return float64(len(st.pos[pat.P][pat.O])) // exact, cheap
-	case sB && oB:
-		return float64(len(st.osp[pat.O][pat.S])) // exact, cheap
-	case sB:
-		// Average triples per subject.
-		return n / float64(maxInt(len(st.spo), 1))
-	case pB:
-		return float64(st.predCount[pat.P]) // exact
-	case oB:
-		return n / float64(maxInt(len(st.osp), 1))
-	default:
-		return n
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return float64(st.Count(pat))
 }

@@ -1,11 +1,18 @@
 // Package store implements an in-memory, dictionary-encoded RDF triple
-// store with SPO, POS and OSP indexes.
+// store over sorted permutation indexes.
 //
+// Every store is one representation: a sorted columnar base (four
+// permutations SPO/POS/OSP/PSO, see index.go) plus a small sorted delta
+// overlay of the writes accepted since the base was built (delta.go).
 // The store answers the eight triple-pattern shapes (each of S, P, O
-// either bound or free) by picking the index whose prefix covers the
-// bound positions, so every lookup is a hash-map walk rather than a scan.
-// Cardinality statistics (per-predicate counts, distinct subjects/objects
-// per predicate) feed the BGP evaluator's join ordering.
+// either bound or free) by resolving the pattern to one contiguous range
+// of the permutation whose prefix covers the bound positions, merged
+// with the matching range of the overlay — a binary search, never a
+// scan. Bulk loads go through AddBatch, which sorts the batch and merges
+// it into a rebuilt base; AddID is the incremental write path into the
+// overlay. Cardinality statistics (per-predicate counts, distinct
+// subjects/objects per predicate) feed the BGP evaluator's join
+// ordering.
 //
 // The store is safe for concurrent readers; writes must not be concurrent
 // with reads or other writes (the usual load-then-query lifecycle of an
@@ -13,6 +20,7 @@
 package store
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"rdfcube/internal/dict"
@@ -27,41 +35,22 @@ type IDTriple struct {
 
 // Store is an indexed triple store over a term dictionary.
 //
-// The store is layered: the mutable nested-map indexes below are always
-// authoritative; Freeze compacts them into the read-optimized sorted
-// columnar arrays of index.go. A write on a frozen store no longer drops
-// that compacted base — it lands in a small sorted delta overlay (see
-// delta.go) and every read path merges base and delta, so writes stay
-// cheap and reads stay on the fast path. The delta is folded into a
-// rebuilt base when it reaches the compaction threshold or on an
-// explicit Freeze.
+// The store is layered: frz is the read-optimized sorted columnar base
+// of index.go, and dlt a small sorted delta overlay (delta.go) holding
+// the writes accepted since the base was built. The two are disjoint,
+// and every read path merges them. The overlay is folded into a rebuilt
+// base when it reaches the compaction threshold, on an explicit Freeze,
+// or by the next AddBatch.
 type Store struct {
 	dict *dict.Dictionary
 
-	// Three nested-map indexes. The leaf set is map[dict.ID]struct{}.
-	spo map[dict.ID]map[dict.ID]idSet
-	pos map[dict.ID]map[dict.ID]idSet
-	osp map[dict.ID]map[dict.ID]idSet
-
-	size int
-
-	// Per-predicate statistics, maintained incrementally.
+	// Per-predicate triple counts, maintained incrementally.
 	predCount map[dict.ID]int
 
-	// frz is the compacted sorted-array base; dlt overlays the writes
-	// accepted since it was built. frz == nil means map-only mode (dlt
-	// is then empty).
+	// frz is the compacted sorted-array base (never nil; empty on a new
+	// store); dlt overlays the writes accepted since it was built.
 	frz *frozen
 	dlt delta
-
-	// noMaps marks a store whose nested maps were never populated — the
-	// state of a store opened from a frozen (v2) snapshot, where the
-	// columnar base was loaded directly and rebuilding the maps would
-	// defeat the fast load. In this mode the frozen base + delta overlay
-	// are authoritative: ContainsID binary-searches them and AddID
-	// deduplicates against them. Operations that genuinely need the maps
-	// (deletion, Thaw) rehydrate them on demand.
-	noMaps bool
 
 	// compactThreshold is the delta size that triggers folding the
 	// overlay into a rebuilt frozen base.
@@ -89,9 +78,8 @@ type Store struct {
 
 	// ver packs the two-part write version (baseEpoch << 32 | deltaSeq).
 	// deltaSeq counts the triples accepted into the current delta
-	// overlay; baseEpoch advances whenever the base is rebuilt or
-	// structurally invalidated (compaction, deletion, thaw with pending
-	// delta, map-mode writes) — exactly the events after which the delta
+	// overlay; baseEpoch advances whenever the base is rebuilt
+	// (compaction, AddBatch) — exactly the events after which the delta
 	// feed can no longer replay the difference. Concurrent readers (the
 	// view registry, the server) use it to decide between maintaining a
 	// materialization (same base, newer delta) and discarding it (base
@@ -100,14 +88,12 @@ type Store struct {
 	ver atomic.Uint64
 }
 
-type idSet map[dict.ID]struct{}
-
 // Version is the decoded two-part write version of a store.
 type Version struct {
-	// Base counts base rebuilds and structural invalidations.
+	// Base counts base rebuilds.
 	Base uint64
-	// Seq counts the triples in the current delta overlay (0 outside
-	// frozen mode or right after a rebuild).
+	// Seq counts the triples in the current delta overlay (0 right after
+	// a rebuild).
 	Seq uint64
 }
 
@@ -120,11 +106,19 @@ func New() *Store { return NewWithDict(dict.New()) }
 func NewWithDict(d *dict.Dictionary) *Store {
 	return &Store{
 		dict:             d,
-		spo:              make(map[dict.ID]map[dict.ID]idSet),
-		pos:              make(map[dict.ID]map[dict.ID]idSet),
-		osp:              make(map[dict.ID]map[dict.ID]idSet),
 		predCount:        make(map[dict.ID]int),
+		frz:              emptyFrozen(),
 		compactThreshold: DefaultCompactThreshold,
+	}
+}
+
+// installBase makes frz (loaded from a snapshot) the store's base at
+// baseEpoch, deriving the per-predicate counts from its POS runs.
+func (st *Store) installBase(frz *frozen, baseEpoch uint64) {
+	st.frz = frz
+	st.ver.Store(baseEpoch << 32)
+	for i, p := range frz.pos.keys {
+		st.predCount[p] = frz.pos.off[i+1] - frz.pos.off[i]
 	}
 }
 
@@ -132,8 +126,8 @@ func NewWithDict(d *dict.Dictionary) *Store {
 func (st *Store) Dict() *dict.Dictionary { return st.dict }
 
 // Epoch returns the packed write version: it increases on every
-// successful Add/Remove and on every base rebuild, so a materialized
-// result tagged with the epoch at evaluation time reflects the store's
+// accepted write and on every base rebuild, so a materialized result
+// tagged with the epoch at evaluation time reflects the store's
 // contents exactly while Epoch() still returns that value. Callers that
 // can maintain materializations should prefer Version, which separates
 // "base rebuilt" (recompute) from "delta grew" (apply the feed). Safe to
@@ -190,100 +184,68 @@ func (st *Store) SetInlineCompaction(inline bool) { st.noInlineCompact = !inline
 // NeedsCompaction reports whether the delta overlay has reached the
 // compaction threshold — the signal a background compactor polls.
 func (st *Store) NeedsCompaction() bool {
-	return st.frz != nil && st.dlt.len() >= st.compactThreshold
+	return st.dlt.len() >= st.compactThreshold
 }
 
-// Len reports the number of distinct triples.
-func (st *Store) Len() int { return st.size }
+// Len reports the number of distinct triples (base and overlay are
+// disjoint, so their sizes add).
+func (st *Store) Len() int { return st.frz.spo.len() + st.dlt.len() }
 
-// Add inserts the term triple tr, interning its terms. It reports whether
-// the triple was new.
-func (st *Store) Add(tr rdf.Triple) bool {
+// EncodeTriple interns the terms of tr and returns its encoded triple —
+// the staging step of a bulk load feeding AddBatch.
+func (st *Store) EncodeTriple(tr rdf.Triple) IDTriple {
 	s, p, o := st.dict.EncodeTriple(tr)
-	return st.AddID(IDTriple{s, p, o})
+	return IDTriple{s, p, o}
 }
 
-// AddID inserts an already-encoded triple. It reports whether the triple
-// was new. On a frozen store the triple lands in the delta overlay (the
-// compacted base survives) and the delta sequence advances; past the
-// compaction threshold the overlay is folded into a rebuilt base. On a
-// map-only store the base epoch advances.
+// Add inserts the term triple tr, interning its terms, through the
+// incremental path of AddID. It reports whether the triple was new.
+// Bulk loads stage their triples and call AddBatch instead.
+func (st *Store) Add(tr rdf.Triple) bool {
+	return st.AddID(st.EncodeTriple(tr))
+}
+
+// AddID inserts an already-encoded triple — the incremental write path.
+// It reports whether the triple was new. The triple lands in the delta
+// overlay (the compacted base survives) and the delta sequence advances;
+// past the compaction threshold the overlay is folded into a rebuilt
+// base.
 func (st *Store) AddID(t IDTriple) bool {
-	if st.noMaps {
-		// Snapshot-loaded store: the maps are empty by design, so the
-		// dedup check runs against the frozen base + overlay instead.
-		if st.ContainsID(t) {
-			return false
-		}
-		st.size++
-		st.predCount[t.P]++
-		st.dlt.add(t)
-		st.ver.Add(1)
-		if st.dlt.len() >= st.compactThreshold && !st.noInlineCompact {
-			st.compact()
-		} else {
-			st.maybeSpill()
-		}
-		return true
-	}
-	if !insert3(st.spo, t.S, t.P, t.O) {
+	if st.ContainsID(t) {
 		return false
 	}
-	insert3(st.pos, t.P, t.O, t.S)
-	insert3(st.osp, t.O, t.S, t.P)
-	st.size++
 	st.predCount[t.P]++
-	if st.frz != nil {
-		st.dlt.add(t)
-		st.ver.Add(1)
-		if st.dlt.len() >= st.compactThreshold && !st.noInlineCompact {
-			st.compact()
-		} else {
-			st.maybeSpill()
-		}
+	st.dlt.add(t)
+	st.ver.Add(1)
+	if st.dlt.len() >= st.compactThreshold && !st.noInlineCompact {
+		st.compact()
 	} else {
-		st.bumpBase()
+		st.maybeSpill()
 	}
 	return true
 }
 
-// Remove deletes the term triple tr. It reports whether the triple was
-// present.
-func (st *Store) Remove(tr rdf.Triple) bool {
-	s, ok1 := st.dict.Lookup(tr.S)
-	p, ok2 := st.dict.Lookup(tr.P)
-	o, ok3 := st.dict.Lookup(tr.O)
-	if !ok1 || !ok2 || !ok3 {
-		return false
+// AddBatch is the bulk write path. It sorts and deduplicates ts in
+// place, drops the triples already in the base or the delta overlay,
+// and merges the rest — together with any pending overlay — into a
+// rebuilt base: one sort and one linear merge per permutation. The base
+// epoch advances once; the overlay is left empty. It returns the prefix
+// of ts holding the triples that were new, in (S, P, O) order; a batch
+// with nothing new changes nothing.
+func (st *Store) AddBatch(ts []IDTriple) []IDTriple {
+	slices.SortFunc(ts, permCmp(permSPO))
+	ts = slices.Compact(ts)
+	ts = slices.DeleteFunc(ts, st.ContainsID)
+	if len(ts) == 0 {
+		return ts
 	}
-	return st.RemoveID(IDTriple{s, p, o})
-}
-
-// RemoveID deletes an encoded triple. It reports whether the triple was
-// present. Deletions are not representable in the append-only delta
-// overlay, so on a frozen store a removal drops the compacted base and
-// overlay entirely (the warehouse workload is append-oriented; re-Freeze
-// after sustained deletion bursts).
-func (st *Store) RemoveID(t IDTriple) bool {
-	if st.noMaps {
-		st.rehydrate()
+	for _, t := range ts {
+		st.predCount[t.P]++
 	}
-	if !remove3(st.spo, t.S, t.P, t.O) {
-		return false
-	}
-	remove3(st.pos, t.P, t.O, t.S)
-	remove3(st.osp, t.O, t.S, t.P)
-	st.size--
-	st.predCount[t.P]--
-	if st.predCount[t.P] == 0 {
-		delete(st.predCount, t.P)
-	}
-	if st.frz != nil {
-		st.frz = nil
-		st.dlt.reset()
-	}
+	st.frz = st.mergedFrozen(ts)
+	st.dlt.reset()
 	st.bumpBase()
-	return true
+	return ts
 }
 
 // Contains reports whether the term triple tr is in the store.
@@ -297,76 +259,8 @@ func (st *Store) Contains(tr rdf.Triple) bool {
 	return st.ContainsID(IDTriple{s, p, o})
 }
 
-// ContainsID reports whether the encoded triple is in the store: one
-// hash walk over the authoritative nested maps, or — on a store opened
-// from a frozen snapshot, whose maps were never built — two binary
-// searches (frozen base, delta overlay).
+// ContainsID reports whether the encoded triple is in the store: binary
+// searches of the frozen base and the delta overlay.
 func (st *Store) ContainsID(t IDTriple) bool {
-	if st.noMaps {
-		if st.frz.spo.contains(t.S, t.P, t.O) {
-			return true
-		}
-		if st.dlt.len() == 0 {
-			return false
-		}
-		lo, hi := searchPrefix(permSPO, st.dlt.spo, 3, t.S, t.P, t.O)
-		if lo < hi {
-			return true
-		}
-		if run := st.dlt.runPerm(permSPO); len(run) > 0 {
-			lo, hi = searchPrefix(permSPO, run, 3, t.S, t.P, t.O)
-			return lo < hi
-		}
-		return false
-	}
-	m2, ok := st.spo[t.S]
-	if !ok {
-		return false
-	}
-	leaf, ok := m2[t.P]
-	if !ok {
-		return false
-	}
-	_, ok = leaf[t.O]
-	return ok
-}
-
-func insert3(idx map[dict.ID]map[dict.ID]idSet, a, b, c dict.ID) bool {
-	m2, ok := idx[a]
-	if !ok {
-		m2 = make(map[dict.ID]idSet)
-		idx[a] = m2
-	}
-	leaf, ok := m2[b]
-	if !ok {
-		leaf = make(idSet)
-		m2[b] = leaf
-	}
-	if _, dup := leaf[c]; dup {
-		return false
-	}
-	leaf[c] = struct{}{}
-	return true
-}
-
-func remove3(idx map[dict.ID]map[dict.ID]idSet, a, b, c dict.ID) bool {
-	m2, ok := idx[a]
-	if !ok {
-		return false
-	}
-	leaf, ok := m2[b]
-	if !ok {
-		return false
-	}
-	if _, present := leaf[c]; !present {
-		return false
-	}
-	delete(leaf, c)
-	if len(leaf) == 0 {
-		delete(m2, b)
-		if len(m2) == 0 {
-			delete(idx, a)
-		}
-	}
-	return true
+	return st.frz.spo.contains(t.S, t.P, t.O) || st.dlt.contains(t)
 }

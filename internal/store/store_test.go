@@ -17,7 +17,7 @@ func tri(s, p, o string) rdf.Triple {
 	return rdf.NewTriple(iri(s), iri(p), iri(o))
 }
 
-func TestAddContainsRemove(t *testing.T) {
+func TestAddContains(t *testing.T) {
 	st := New()
 	tr := tri("s", "p", "o")
 	if st.Contains(tr) {
@@ -32,25 +32,8 @@ func TestAddContainsRemove(t *testing.T) {
 	if !st.Contains(tr) || st.Len() != 1 {
 		t.Error("triple not stored")
 	}
-	if !st.Remove(tr) {
-		t.Error("Remove must report present")
-	}
-	if st.Remove(tr) {
-		t.Error("second Remove must report absent")
-	}
-	if st.Contains(tr) || st.Len() != 0 {
-		t.Error("triple not removed")
-	}
-}
-
-func TestRemoveUnknownTerms(t *testing.T) {
-	st := New()
-	st.Add(tri("s", "p", "o"))
-	if st.Remove(tri("s", "p", "never-seen")) {
-		t.Error("Remove of never-interned object must report absent")
-	}
-	if st.Len() != 1 {
-		t.Error("store size changed")
+	if st.Contains(tri("s", "p", "never-seen")) {
+		t.Error("Contains of a never-interned object must report absent")
 	}
 }
 
@@ -164,28 +147,6 @@ func TestMatchAgainstNaiveScan(t *testing.T) {
 	}
 }
 
-func TestRemoveCleansIndexes(t *testing.T) {
-	st := New()
-	tr := tri("s", "p", "o")
-	st.Add(tr)
-	st.Remove(tr)
-	// After full removal, every index walk must be empty.
-	if got := st.Match(Pattern{}); len(got) != 0 {
-		t.Errorf("full scan after removal: %d triples", len(got))
-	}
-	s, _ := st.Dict().Lookup(iri("s"))
-	p, _ := st.Dict().Lookup(iri("p"))
-	o, _ := st.Dict().Lookup(iri("o"))
-	for _, pat := range []Pattern{{S: s}, {P: p}, {O: o}, {S: s, P: p}, {P: p, O: o}, {S: s, O: o}} {
-		if st.Count(pat) != 0 {
-			t.Errorf("Count(%+v) = %d after removal", pat, st.Count(pat))
-		}
-	}
-	if st.Stats().Predicates != 0 {
-		t.Error("predicate stats not cleaned")
-	}
-}
-
 func TestSubjectsObjects(t *testing.T) {
 	st := New()
 	st.Add(tri("a", "p", "x"))
@@ -203,9 +164,11 @@ func TestSubjectsObjects(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	st := New()
-	st.Add(tri("a", "p", "x"))
-	st.Add(tri("b", "p", "x"))
-	st.Add(tri("a", "q", "y"))
+	st.AddBatch([]IDTriple{
+		st.EncodeTriple(tri("a", "p", "x")),
+		st.EncodeTriple(tri("b", "p", "x")),
+		st.EncodeTriple(tri("a", "q", "y")),
+	})
 	stats := st.Stats()
 	if stats.Triples != 3 || stats.Predicates != 2 {
 		t.Errorf("Stats = %+v", stats)
@@ -336,9 +299,11 @@ func BenchmarkAdd(b *testing.B) {
 
 func BenchmarkMatchBoundPredicate(b *testing.B) {
 	st := New()
+	ts := make([]IDTriple, 0, 100000)
 	for i := 0; i < 100000; i++ {
-		st.Add(tri(fmt.Sprintf("s%d", i%1000), fmt.Sprintf("p%d", i%10), fmt.Sprintf("o%d", i)))
+		ts = append(ts, st.EncodeTriple(tri(fmt.Sprintf("s%d", i%1000), fmt.Sprintf("p%d", i%10), fmt.Sprintf("o%d", i))))
 	}
+	st.AddBatch(ts)
 	p, _ := st.Dict().Lookup(iri("p3"))
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -363,22 +328,23 @@ func TestEpochAdvancesOnWrites(t *testing.T) {
 		t.Errorf("duplicate Add changed epoch: %d -> %d", e1, st.Epoch())
 	}
 	st.Freeze()
-	if st.Epoch() != e1 {
-		t.Errorf("Freeze changed epoch: %d -> %d", e1, st.Epoch())
-	}
-	st.Thaw()
-	if st.Epoch() != e1 {
-		t.Errorf("Thaw changed epoch: %d -> %d", e1, st.Epoch())
-	}
-	st.Remove(tri("s", "p", "o"))
 	if st.Epoch() <= e1 {
-		t.Errorf("Epoch after Remove = %d, want > %d", st.Epoch(), e1)
+		t.Errorf("Epoch after compaction = %d, want > %d", st.Epoch(), e1)
 	}
-	if st.Remove(tri("s", "p", "o")) {
-		t.Fatal("second Remove reported present")
+	e2 := st.Epoch()
+	st.Freeze()
+	if st.Epoch() != e2 {
+		t.Errorf("no-op Freeze changed epoch: %d -> %d", e2, st.Epoch())
+	}
+	st.AddBatch([]IDTriple{st.EncodeTriple(tri("s", "p", "o2"))})
+	if st.Epoch() <= e2 {
+		t.Errorf("Epoch after AddBatch = %d, want > %d", st.Epoch(), e2)
 	}
 }
 
+// TestReadSnapshotFrozen: the v1 reader loads its triples with one
+// AddBatch, so the store comes back compacted — no pending delta, one
+// base rebuild.
 func TestReadSnapshotFrozen(t *testing.T) {
 	st := New()
 	for i := 0; i < 50; i++ {
@@ -388,12 +354,12 @@ func TestReadSnapshotFrozen(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshotFrozen(&buf)
+	back, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.IsFrozen() {
-		t.Error("ReadSnapshotFrozen returned an unfrozen store")
+	if back.DeltaLen() != 0 || back.Version() != (Version{Base: 1}) {
+		t.Errorf("ReadSnapshot left DeltaLen %d at version %+v, want 0 at base 1", back.DeltaLen(), back.Version())
 	}
 	if back.Len() != st.Len() {
 		t.Errorf("size %d, want %d", back.Len(), st.Len())

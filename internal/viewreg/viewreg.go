@@ -31,7 +31,7 @@
 //     registered pres(Q) and the Δpres rows to ans(Q)'s per-cell
 //     accumulators — instead of dropped, on lookup or on a write
 //     notification (NotifyWrite).
-//     Only a base-epoch move (compaction, deletion, structural change)
+//     Only a base-epoch move (compaction, bulk load, structural change)
 //     or an unmaintainable entry falls back to eviction, so the registry
 //     keeps paying view-maintenance cost instead of recomputation cost.
 //   - Negative caching: a query that scanned its family and found no

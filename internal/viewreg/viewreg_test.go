@@ -451,8 +451,8 @@ func TestDeltaWritesMaintainViews(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			newFact(st, round*10+i, int64(i%4), int64(100+i))
 		}
-		if !st.IsFrozen() {
-			t.Fatal("writes dropped the frozen base")
+		if st.DeltaLen() == 0 {
+			t.Fatal("writes did not land in the delta overlay")
 		}
 		r.NotifyWrite()
 
@@ -585,7 +585,7 @@ func TestEvaluationRacedByWriteIsNotRegistered(t *testing.T) {
 	// map reads, so sequence it: capture epoch, write, then answer — the
 	// entry must carry the *new* epoch and still validate. The inverse
 	// (write between capture and publish) is covered by the implementation
-	// check r.st.Epoch() == epoch at insert; exercise it via Thaw-safe
+	// check r.st.Epoch() == epoch at insert; exercise it via race-free
 	// sequencing: answer on a store, write, answer again, and confirm
 	// entries never exceed live epochs.
 	st := instance(7, 40)

@@ -118,23 +118,21 @@ func WriteFrozenSnapshot(g *Graph, w io.Writer) error { return g.WriteFrozenSnap
 // /snapshot); the returned graph is frozen and ready to query.
 func OpenFrozenSnapshot(r io.Reader) (*Graph, error) { return store.OpenFrozenSnapshot(r) }
 
-// ReadNTriples loads an N-Triples / Turtle-lite document into g.
-// It returns the number of distinct triples added.
+// ReadNTriples bulk-loads an N-Triples / Turtle-lite document into g:
+// the parsed triples (up to a parse error, if any) are added with one
+// AddBatch, so g comes back with no pending delta. It returns the
+// number of distinct triples added.
 func ReadNTriples(g *Graph, r io.Reader) (int, error) {
-	added := 0
+	var ts []store.IDTriple
 	rd := nt.NewReader(r)
-	for {
-		t, err := rd.Next()
-		if err == io.EOF {
-			return added, nil
-		}
-		if err != nil {
-			return added, err
-		}
-		if g.Add(t) {
-			added++
-		}
+	t, err := rd.Next()
+	for ; err == nil; t, err = rd.Next() {
+		ts = append(ts, g.EncodeTriple(t))
 	}
+	if err == io.EOF {
+		err = nil
+	}
+	return len(g.AddBatch(ts)), err
 }
 
 // WriteNTriples serializes every triple of g to w in N-Triples syntax.

@@ -2,6 +2,7 @@ package rdfcube_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -177,5 +178,30 @@ func TestPublicTermConstructors(t *testing.T) {
 	}
 	if f, err := rdfcube.AggByName("avg"); err != nil || f.Distributive() {
 		t.Error("AggByName(avg)")
+	}
+}
+
+// TestReadNTriplesBulkLoads: ReadNTriples loads with one AddBatch, never
+// through the per-triple delta path — 20k triples (more than two
+// compaction thresholds' worth) leave no pending delta and rebuild the
+// base exactly once.
+func TestReadNTriplesBulkLoads(t *testing.T) {
+	var doc strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&doc, "<%ss%d> <%sp%d> <%so%d> .\n", ns, i%3000, ns, i%7, ns, i)
+	}
+	g := rdfcube.NewGraph()
+	n, err := rdfcube.ReadNTriples(g, strings.NewReader(doc.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 20000 || g.Len() != 20000 {
+		t.Fatalf("loaded %d triples (Len %d), want 20000", n, g.Len())
+	}
+	if g.DeltaLen() != 0 {
+		t.Errorf("ReadNTriples left a delta of %d triples", g.DeltaLen())
+	}
+	if v := g.Version(); v.Base != 1 || v.Seq != 0 {
+		t.Errorf("ReadNTriples left version %+v, want one base rebuild", v)
 	}
 }
