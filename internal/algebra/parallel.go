@@ -147,8 +147,8 @@ func (r *Relation) passCube(gIdx []int, vIdx int, f agg.Func, resolve NumericRes
 	cb := NewCube(gIdx, vIdx, f, resolve)
 	cb.rows = r.Rows
 	if f == nil {
-		cb.heads = make(map[uint64]int32, m)
 		cb.cells = make([]cell, 0, m)
+		cb.size(m)
 	}
 	return cb
 }
@@ -195,22 +195,7 @@ func probeParallel(left []Row, lIdx, rIdx []int, build map[uint64][]Row, keepRig
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var out []Row
-			for _, lrow := range left[lo:hi] {
-				h := hashCols(lrow, lIdx)
-				for _, rrow := range build[h] {
-					if !colsEqualBits(lrow, lIdx, rrow, rIdx) {
-						continue
-					}
-					nr := make(Row, 0, width)
-					nr = append(nr, lrow...)
-					for _, j := range keepRight {
-						nr = append(nr, rrow[j])
-					}
-					out = append(out, nr)
-				}
-			}
-			parts[w] = out
+			parts[w] = probe(left[lo:hi], lIdx, rIdx, build, keepRight, width)
 		}(w, lo, hi)
 	}
 	wg.Wait()

@@ -5,13 +5,20 @@
 //
 // Section 3 of the paper expresses its rewriting algorithms in exactly
 // these operators ("all relational algebra operators are assumed to have
-// bag semantics"); the core package executes Algorithms 1 and 2 as plain
-// algebra programs on pres(Q).
+// bag semantics"); the core package executes Algorithms 1 and 2 and
+// Equation 3 as algebra programs on pres(Q). γ and δ read only the
+// columns they group on and aggregate, so a π in front of them is never
+// materialized: δ takes the columns it keys on and keeps whole input
+// rows, shared. Both run on one grouping primitive, Cube (cube.go), an
+// open-addressed cell table; ⋈ and π carve their output rows from
+// shared cell blocks instead of allocating each row. Rows are never
+// written after they are built, which is what lets operators share them.
 package algebra
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rdfcube/internal/agg"
@@ -156,15 +163,21 @@ func (r *Relation) Select(pred func(Row) bool) *Relation {
 }
 
 // Project returns π_cols(r) with bag semantics (duplicates retained).
+// The projected rows are carved from one cell block. Projecting onto
+// r's own column order copies no cell: the result shares r's rows, which
+// no operator writes into.
 func (r *Relation) Project(cols ...string) *Relation {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = r.MustColumn(c)
-	}
 	out := &Relation{Cols: append([]string(nil), cols...)}
+	if slices.Equal(cols, r.Cols) {
+		out.Rows = slices.Clone(r.Rows)
+		return out
+	}
+	idx := r.indexes(cols)
+	w := len(idx)
 	out.Rows = make([]Row, len(r.Rows))
+	block := make([]Value, w*len(r.Rows))
 	for i, row := range r.Rows {
-		nr := make(Row, len(idx))
+		nr := block[w*i : w*i+w : w*i+w]
 		for j, c := range idx {
 			nr[j] = row[c]
 		}
@@ -173,22 +186,33 @@ func (r *Relation) Project(cols ...string) *Relation {
 	return out
 }
 
-// Dedup returns δ(r): distinct rows. This is the deduplication step of
-// Algorithm 1, which repairs the fact duplication caused by projecting
-// out a multi-valued dimension. δ is γ on every column without
-// accumulators, so it runs γ's grouping pass (parallel.go) and keeps the
-// first occurrence of each row, in input order.
-func (r *Relation) Dedup() *Relation {
-	all := make([]int, len(r.Cols))
-	for i := range all {
-		all[i] = i
+// Dedup returns δ over the columns cols, every column when none are
+// named: the first row of each distinct cols-tuple, in input order. This
+// is the deduplication step of Algorithm 1, which repairs the fact
+// duplication caused by projecting out a multi-valued dimension. The
+// rows are r's own, shared and whole, so δ on cols followed by an
+// operator that reads only cols equals that operator over δ∘π_cols,
+// without π's copy. δ is γ on cols without accumulators, so it runs
+// γ's grouping pass (parallel.go).
+func (r *Relation) Dedup(cols ...string) *Relation {
+	if len(cols) == 0 {
+		cols = r.Cols
 	}
-	cells := r.group(all, -1, nil, nil)
+	cells := r.group(r.indexes(cols), -1, nil, nil)
 	out := &Relation{Cols: append([]string(nil), r.Cols...), Rows: make([]Row, len(cells))}
 	for i := range cells {
 		out.Rows[i] = r.Rows[cells[i].first]
 	}
 	return out
+}
+
+// indexes returns the positions of cols, panicking on an absent one.
+func (r *Relation) indexes(cols []string) []int {
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		idx[i] = r.MustColumn(c)
+	}
+	return idx
 }
 
 // Hashing: rows and column subsets are keyed by a word-wise FNV-1a hash
@@ -272,10 +296,7 @@ type NumericResolver func(id dict.ID) (float64, bool)
 // Output group order is deterministic (first-seen order), whether the
 // grouping pass runs on one Cube or fans out across CPUs (parallel.go).
 func (r *Relation) GroupAggregate(groupCols []string, valueCol, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
-	gIdx := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		gIdx[i] = r.MustColumn(c)
-	}
+	gIdx := r.indexes(groupCols)
 	cells := r.group(gIdx, r.MustColumn(valueCol), f, resolve)
 	out := NewRelation(append(append([]string(nil), groupCols...), aggCol)...)
 	out.Rows = make([]Row, 0, len(cells))
@@ -340,25 +361,40 @@ func (r *Relation) Join(other *Relation, leftCols, rightCols []string) (*Relatio
 		build[h] = append(build[h], row)
 	}
 	out := &Relation{Cols: outCols}
-	if rows := probeParallel(r.Rows, lIdx, rIdx, build, keepRight, len(outCols)); rows != nil {
-		out.Rows = rows
-		return out, nil
+	if out.Rows = probeParallel(r.Rows, lIdx, rIdx, build, keepRight, len(outCols)); out.Rows == nil {
+		out.Rows = probe(r.Rows, lIdx, rIdx, build, keepRight, len(outCols))
 	}
-	for _, lrow := range r.Rows {
-		h := hashCols(lrow, lIdx)
-		for _, rrow := range build[h] {
+	return out, nil
+}
+
+// probe joins the left rows against the build table in left order,
+// emitting each match as the left row followed by the kept right cells.
+// Output rows are carved from shared blocks, each sized by the output
+// rate seen so far but never more than doubling the output, so a skewed
+// start cannot over-allocate; every row is a full slice expression
+// (cap == len), so an append to one row never writes into the next.
+func probe(left []Row, lIdx, rIdx []int, build map[uint64][]Row, keepRight []int, width int) []Row {
+	var out []Row
+	var block []Value
+	for i, lrow := range left {
+		for _, rrow := range build[hashCols(lrow, lIdx)] {
 			if !colsEqualBits(lrow, lIdx, rrow, rIdx) {
 				continue
 			}
-			nr := make(Row, 0, len(outCols))
-			nr = append(nr, lrow...)
-			for _, j := range keepRight {
-				nr = append(nr, rrow[j])
+			if len(block) < width {
+				rows := min((len(left)-i)*(len(out)+1)/(i+1), len(out)+64)
+				block = make([]Value, width*max(rows, 1))
 			}
-			out.Rows = append(out.Rows, nr)
+			nr := block[:width:width]
+			block = block[width:]
+			copy(nr, lrow)
+			for k, j := range keepRight {
+				nr[len(lrow)+k] = rrow[j]
+			}
+			out = append(out, nr)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // NaturalJoin joins on all shared column names.

@@ -87,6 +87,20 @@ func TestProjectBagSemantics(t *testing.T) {
 	}
 }
 
+// TestProjectIdentitySharesRows: π onto a relation's own column order
+// copies no cell, yet reordering its row list leaves the input alone.
+func TestProjectIdentitySharesRows(t *testing.T) {
+	r := rel([]string{"a", "b"}, Row{TermV(2), NumV(1)}, Row{TermV(1), NumV(2)})
+	p := r.Project("a", "b")
+	if &p.Rows[0][0] != &r.Rows[0][0] || &p.Rows[1][0] != &r.Rows[1][0] {
+		t.Fatal("identity projection copied its rows")
+	}
+	p.Sort()
+	if r.Rows[0][0] != TermV(2) || p.Rows[0][0] != TermV(1) {
+		t.Fatal("sorting the projection reordered its input")
+	}
+}
+
 func TestDedup(t *testing.T) {
 	r := rel([]string{"a", "v"},
 		Row{TermV(1), NumV(10)},

@@ -176,10 +176,9 @@ func (e *Evaluator) AnswerFromPres(q *Query, pres *algebra.Relation) (*algebra.R
 		return nil, err
 	}
 	v := q.MeasureVar()
-	// π_{x,d1..dn,v} has bag semantics: dropping the key keeps duplicate
-	// measure values as duplicate rows, exactly what γ must see.
-	proj := pres.Project(append([]string{q.Root()}, append(q.Dims(), v)...)...)
-	cube := proj.GroupAggregate(q.Dims(), v, v, q.Agg, e.ResolveNumeric)
+	// π_{x,d1..dn,v} has bag semantics: it keeps one row per pres row,
+	// so γ runs on pres itself, reading only the dimension and v columns.
+	cube := pres.GroupAggregate(q.Dims(), v, v, q.Agg, e.ResolveNumeric)
 	obs.CostFromContext(e.context()).AddBytes(cube.EstimateBytes())
 	return cube, nil
 }

@@ -44,7 +44,9 @@ func (e *Evaluator) DiceRewrite(diced *Query, ansQ *algebra.Relation) (*algebra.
 // The δ step is essential: a fact multi-valued along a dropped dimension
 // occurs once per dropped value after the projection, and without
 // deduplication its measure tuples (identified by the key k) would be
-// aggregated several times — the double-counting of Example 5.
+// aggregated several times — the double-counting of Example 5. π and δ
+// run as one δ on those columns of pres, which keeps each tuple's first
+// pres row without copying it; γ reads only columns δ keyed on.
 func (e *Evaluator) DrillOutRewrite(orig *Query, pres *algebra.Relation, drop ...string) (*algebra.Relation, error) {
 	if err := checkPresSchema(orig, pres); err != nil {
 		return nil, err
@@ -68,9 +70,7 @@ func (e *Evaluator) DrillOutRewrite(orig *Query, pres *algebra.Relation, drop ..
 	v := orig.MeasureVar()
 	cols := append([]string{orig.Root()}, remaining...)
 	cols = append(cols, KeyCol, v)
-	t := pres.Project(cols...)
-	t = t.Dedup()
-	return t.GroupAggregate(remaining, v, v, orig.Agg, e.ResolveNumeric), nil
+	return pres.Dedup(cols...).GroupAggregate(remaining, v, v, orig.Agg, e.ResolveNumeric), nil
 }
 
 // DrillInRewrite answers Q_DRILL-IN from pres(Q) plus the AnS instance —

@@ -7,6 +7,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"rdfcube/internal/agg"
 	"rdfcube/internal/algebra"
@@ -442,13 +443,14 @@ func buildSchema(req *SchemaRequest) (*ans.Schema, error) {
 	return s, nil
 }
 
-// renderCube sorts a copy of the cube and renders its cells
-// deterministically: term IDs in N-Triples syntax through the
-// dictionary, numbers like algebra.Value (integral floats without a
-// point). Equal cubes therefore serialize byte-identically regardless of
-// the strategy that produced them.
+// renderCube sorts a copy of the cube's row list — the rows themselves
+// are shared, not copied — and renders its cells deterministically: term
+// IDs in N-Triples syntax through the dictionary, numbers like
+// algebra.Value (integral floats without a point). Equal cubes therefore
+// serialize byte-identically regardless of the strategy that produced
+// them.
 func renderCube(cube *algebra.Relation, d *dict.Dictionary, strategy viewreg.Strategy, elapsedNs int64) *QueryResponse {
-	sorted := cube.Clone()
+	sorted := &algebra.Relation{Cols: cube.Cols, Rows: slices.Clone(cube.Rows)}
 	sorted.Sort()
 	rows := make([][]string, len(sorted.Rows))
 	for i, row := range sorted.Rows {
