@@ -24,6 +24,18 @@ func randomGroupRelation(rng *rand.Rand, rows, groups int) *Relation {
 	return r
 }
 
+func rowsEqualBits(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !valueEqualBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func relIdentical(a, b *Relation) bool {
 	if len(a.Cols) != len(b.Cols) || len(a.Rows) != len(b.Rows) {
 		return false

@@ -9,10 +9,14 @@
 // Equation 3 as algebra programs on pres(Q). γ and δ read only the
 // columns they group on and aggregate, so a π in front of them is never
 // materialized: δ takes the columns it keys on and keeps whole input
-// rows, shared. Both run on one grouping primitive, Cube (cube.go), an
-// open-addressed cell table; ⋈ and π carve their output rows from
-// shared cell blocks instead of allocating each row. Rows are never
-// written after they are built, which is what lets operators share them.
+// rows, shared. γ over a join is one operator, JoinAggregate (join.go),
+// which feeds each match of the probe straight into γ, so the joined
+// rows are never built. All three run on one grouping primitive, Cube
+// (cube.go), an open-addressed cell table; ⋈ and Equal build on a table
+// of the same layout, with a chain of equal-key rows per slot. ⋈ and π
+// carve their output rows from shared cell blocks instead of allocating
+// each row. Rows are never written after they are built, which is what
+// lets operators share them.
 package algebra
 
 import (
@@ -198,11 +202,15 @@ func (r *Relation) Dedup(cols ...string) *Relation {
 	if len(cols) == 0 {
 		cols = r.Cols
 	}
-	cells := r.group(r.indexes(cols), -1, nil, nil)
-	out := &Relation{Cols: append([]string(nil), r.Cols...), Rows: make([]Row, len(cells))}
-	for i := range cells {
-		out.Rows[i] = r.Rows[cells[i].first]
+	cubes := r.plainPass(r.indexes(cols), -1, nil, nil).run()
+	total := 0
+	for _, cb := range cubes {
+		total += cb.Len()
 	}
+	out := &Relation{Cols: append([]string(nil), r.Cols...), Rows: make([]Row, 0, total)}
+	eachCell(cubes, func(cb *Cube, j int) {
+		out.Rows = append(out.Rows, r.Rows[cb.cells[j].l])
+	})
 	return out
 }
 
@@ -215,10 +223,10 @@ func (r *Relation) indexes(cols []string) []int {
 	return idx
 }
 
-// Hashing: rows and column subsets are keyed by a word-wise FNV-1a hash
-// of (kind, payload-bits) pairs instead of allocated string keys. Every
-// hash lookup verifies candidates with rowsEqualBits/colsEqualBits, so
-// collisions cost a comparison, never correctness. NumValue cells
+// Hashing: column subsets and γ keys are keyed by a word-wise FNV-1a
+// hash of (kind, payload-bits) pairs instead of allocated string keys.
+// Every hash lookup verifies candidates cell by cell with valueEqualBits,
+// so collisions cost a comparison, never correctness. NumValue cells
 // compare by bit pattern, preserving the previous string-key semantics
 // (NaN equals NaN, -0 differs from +0).
 
@@ -237,15 +245,6 @@ func mixValue(h uint64, v Value) uint64 {
 	return hash64.Mix(hash64.Mix(h, uint64(v.Kind)), valueBits(v))
 }
 
-// hashRow hashes every cell of the row.
-func hashRow(row Row) uint64 {
-	h := uint64(hash64.Offset)
-	for _, v := range row {
-		h = mixValue(h, v)
-	}
-	return h
-}
-
 // hashCols hashes the cells at the given column indexes.
 func hashCols(row Row, idx []int) uint64 {
 	h := uint64(hash64.Offset)
@@ -257,18 +256,6 @@ func hashCols(row Row, idx []int) uint64 {
 
 func valueEqualBits(a, b Value) bool {
 	return a.Kind == b.Kind && valueBits(a) == valueBits(b)
-}
-
-func rowsEqualBits(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !valueEqualBits(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // colsEqualBits compares a[aIdx[i]] to b[bIdx[i]] for all i.
@@ -296,119 +283,10 @@ type NumericResolver func(id dict.ID) (float64, bool)
 // Output group order is deterministic (first-seen order), whether the
 // grouping pass runs on one Cube or fans out across CPUs (parallel.go).
 func (r *Relation) GroupAggregate(groupCols []string, valueCol, aggCol string, f agg.Func, resolve NumericResolver) *Relation {
-	gIdx := r.indexes(groupCols)
-	cells := r.group(gIdx, r.MustColumn(valueCol), f, resolve)
+	cubes := r.plainPass(r.indexes(groupCols), r.MustColumn(valueCol), f, resolve).run()
 	out := NewRelation(append(append([]string(nil), groupCols...), aggCol)...)
-	out.Rows = make([]Row, 0, len(cells))
-	for i := range cells {
-		if row, ok := cells[i].row(r.Rows, gIdx); ok {
-			out.Rows = append(out.Rows, row)
-		}
-	}
+	out.Rows = aggRows(cubes)
 	return out
-}
-
-// Join returns r ⋈ other on leftCols = rightCols (hash join, bag
-// semantics). Output columns are r's columns followed by other's columns
-// minus the join columns. Column name collisions outside the join columns
-// are an error.
-func (r *Relation) Join(other *Relation, leftCols, rightCols []string) (*Relation, error) {
-	if len(leftCols) != len(rightCols) {
-		return nil, fmt.Errorf("algebra: join column arity mismatch %d vs %d", len(leftCols), len(rightCols))
-	}
-	lIdx := make([]int, len(leftCols))
-	for i, c := range leftCols {
-		j := r.Column(c)
-		if j < 0 {
-			return nil, fmt.Errorf("algebra: join column %q missing on left", c)
-		}
-		lIdx[i] = j
-	}
-	rIdx := make([]int, len(rightCols))
-	rightJoinCol := make(map[int]bool)
-	for i, c := range rightCols {
-		j := other.Column(c)
-		if j < 0 {
-			return nil, fmt.Errorf("algebra: join column %q missing on right", c)
-		}
-		rIdx[i] = j
-		rightJoinCol[j] = true
-	}
-	// Output schema.
-	outCols := append([]string(nil), r.Cols...)
-	leftNames := map[string]bool{}
-	for _, c := range r.Cols {
-		leftNames[c] = true
-	}
-	var keepRight []int
-	for j, c := range other.Cols {
-		if rightJoinCol[j] {
-			continue
-		}
-		if leftNames[c] {
-			return nil, fmt.Errorf("algebra: duplicate non-join column %q", c)
-		}
-		outCols = append(outCols, c)
-		keepRight = append(keepRight, j)
-	}
-	// Build on the right side, bucketed by join-column hash; probes
-	// verify the actual join columns, so hash collisions only cost a
-	// comparison. Wide probe sides fan out across CPUs (parallel.go)
-	// with identical output, row for row.
-	build := make(map[uint64][]Row, len(other.Rows))
-	for _, row := range other.Rows {
-		h := hashCols(row, rIdx)
-		build[h] = append(build[h], row)
-	}
-	out := &Relation{Cols: outCols}
-	if out.Rows = probeParallel(r.Rows, lIdx, rIdx, build, keepRight, len(outCols)); out.Rows == nil {
-		out.Rows = probe(r.Rows, lIdx, rIdx, build, keepRight, len(outCols))
-	}
-	return out, nil
-}
-
-// probe joins the left rows against the build table in left order,
-// emitting each match as the left row followed by the kept right cells.
-// Output rows are carved from shared blocks, each sized by the output
-// rate seen so far but never more than doubling the output, so a skewed
-// start cannot over-allocate; every row is a full slice expression
-// (cap == len), so an append to one row never writes into the next.
-func probe(left []Row, lIdx, rIdx []int, build map[uint64][]Row, keepRight []int, width int) []Row {
-	var out []Row
-	var block []Value
-	for i, lrow := range left {
-		for _, rrow := range build[hashCols(lrow, lIdx)] {
-			if !colsEqualBits(lrow, lIdx, rrow, rIdx) {
-				continue
-			}
-			if len(block) < width {
-				rows := min((len(left)-i)*(len(out)+1)/(i+1), len(out)+64)
-				block = make([]Value, width*max(rows, 1))
-			}
-			nr := block[:width:width]
-			block = block[width:]
-			copy(nr, lrow)
-			for k, j := range keepRight {
-				nr[len(lrow)+k] = rrow[j]
-			}
-			out = append(out, nr)
-		}
-	}
-	return out
-}
-
-// NaturalJoin joins on all shared column names.
-func (r *Relation) NaturalJoin(other *Relation) (*Relation, error) {
-	var shared []string
-	for _, c := range r.Cols {
-		if other.Column(c) >= 0 {
-			shared = append(shared, c)
-		}
-	}
-	if len(shared) == 0 {
-		return nil, fmt.Errorf("algebra: natural join with no shared columns (%v vs %v)", r.Cols, other.Cols)
-	}
-	return r.Join(other, shared, shared)
 }
 
 // Sort orders rows lexicographically in place (Kind, then payload) for
@@ -472,29 +350,35 @@ func Equal(a, b *Relation) bool {
 			return false
 		}
 	}
-	// Multiset comparison: bucket a's rows by hash, then tick off each
-	// of b's rows against a verified match (swap-delete). Row counts are
-	// equal, so full drainage follows from every b row matching.
-	buckets := make(map[uint64][]Row, len(a.Rows))
-	for _, row := range a.Rows {
-		h := hashRow(row)
-		buckets[h] = append(buckets[h], row)
+	// Multiset comparison on the join build table: a's rows chain by
+	// whole-row key, each chain's length is its row's multiplicity in a,
+	// and each of b's rows takes one off the count of its chain. Row
+	// counts are equal, so every b row finding a count left means the
+	// multiplicities agree.
+	idx := make([]int, len(a.Cols))
+	for i := range idx {
+		idx[i] = i
 	}
-	for _, row := range b.Rows {
-		h := hashRow(row)
-		cands := buckets[h]
-		found := -1
-		for i, cand := range cands {
-			if rowsEqualBits(cand, row) {
-				found = i
-				break
+	for _, rel := range []*Relation{a, b} {
+		for _, row := range rel.Rows {
+			if len(row) != len(idx) {
+				return false
 			}
 		}
-		if found < 0 {
+	}
+	t := newJoinTable(a.Rows, idx)
+	left := make([]int32, len(t.slots))
+	for s, head := range t.slots {
+		for r := head - 1; r >= 0; r = t.next[r] {
+			left[s]++
+		}
+	}
+	for _, row := range b.Rows {
+		s := t.slot(row, idx, hashCols(row, idx))
+		if left[s] == 0 {
 			return false
 		}
-		cands[found] = cands[len(cands)-1]
-		buckets[h] = cands[:len(cands)-1]
+		left[s]--
 	}
 	return true
 }

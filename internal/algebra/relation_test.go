@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -262,6 +263,27 @@ func TestEqualBagSemantics(t *testing.T) {
 	d := rel([]string{"y"}, Row{TermV(1)}, Row{TermV(1)}, Row{TermV(2)})
 	if Equal(a, d) {
 		t.Error("different schemas reported equal")
+	}
+	// Floats compare by bits, and long runs of one row count exactly.
+	nan, negZero := Row{TermV(1), NumV(math.NaN())}, Row{TermV(1), NumV(math.Copysign(0, -1))}
+	cols := []string{"x", "v"}
+	if Equal(rel(cols, nan, nan, negZero), rel(cols, nan, negZero, negZero)) {
+		t.Error("{a,a,b} and {a,b,b} reported equal")
+	}
+	if Equal(rel(cols, negZero), rel(cols, Row{TermV(1), NumV(0)})) {
+		t.Error("-0 and +0 reported equal")
+	}
+	var many, other []Row
+	for i := 0; i < 500; i++ {
+		many, other = append(many, nan), append(other, nan)
+	}
+	many[250], other[499] = negZero, negZero
+	if !Equal(rel(cols, many...), rel(cols, other...)) {
+		t.Error("long equal bags reported unequal")
+	}
+	other[0] = negZero
+	if Equal(rel(cols, many...), rel(cols, other...)) {
+		t.Error("499×a+1×b and 498×a+2×b reported equal")
 	}
 }
 

@@ -3,7 +3,9 @@ package core_test
 // BenchmarkRewriteKernels times the three rewrites that answer from
 // pres(Q) — Algorithm 1, Algorithm 2 and Equation 3 — on the blogger
 // data and the four base cubes of the end-to-end benchmark (bench/ops.go),
-// without the server, registry or BGP evaluation of pres around them.
+// without the server, registry or BGP evaluation of pres around them,
+// and, as the pres leg, Definition 4's pres(Q) = c ⋈ m_k itself for the
+// four bases, BGP evaluation of c and m_k included.
 
 import (
 	"fmt"
@@ -115,4 +117,7 @@ func BenchmarkRewriteKernels(b *testing.B) {
 		return fx.ev.DrillInRewrite(q, pres, "d2")
 	})
 	run("ans_from_pres", []int{0, 1, 2, 3}, fx.ev.AnswerFromPres)
+	run("pres", []int{0, 1, 2, 3}, func(q *core.Query, _ *algebra.Relation) (*algebra.Relation, error) {
+		return fx.ev.Pres(q)
+	})
 }

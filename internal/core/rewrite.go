@@ -76,12 +76,14 @@ func (e *Evaluator) DrillOutRewrite(orig *Query, pres *algebra.Relation, drop ..
 // DrillInRewrite answers Q_DRILL-IN from pres(Q) plus the AnS instance —
 // Algorithm 2 (Proposition 3):
 //
-//	build q_aux(dvars, d_{n+1})              (Definition 6)
-//	T ← pres(Q) ⋈_{dvars} q_aux(I)
-//	T ← γ_{d1..dn, d_{n+1}, ⊕(v)}(T)
+//	build q_aux(dvars, d_{n+1})                           (Definition 6)
+//	T ← γ_{d1..dn, d_{n+1}, ⊕(v)}(pres(Q) ⋈_{dvars} q_aux(I))
 //
 // Only the auxiliary query touches the instance; classifier and measure
-// are not re-evaluated.
+// are not re-evaluated. The join and γ run as one pass
+// (algebra.JoinAggregate): each pres row probes a build table on q_aux,
+// in pres order, and every match feeds its cell directly, so the joined
+// relation is never built.
 func (e *Evaluator) DrillInRewrite(orig *Query, pres *algebra.Relation, newDim string) (*algebra.Relation, error) {
 	if err := checkPresSchema(orig, pres); err != nil {
 		return nil, err
@@ -95,13 +97,8 @@ func (e *Evaluator) DrillInRewrite(orig *Query, pres *algebra.Relation, newDim s
 		return nil, err
 	}
 	dvars := aux.Head[:len(aux.Head)-1] // head is (dvars..., newDim)
-	joined, err := pres.Join(auxRel, dvars, dvars)
-	if err != nil {
-		return nil, err
-	}
 	groupCols := append(append([]string(nil), orig.Dims()...), newDim)
-	v := orig.MeasureVar()
-	return joined.GroupAggregate(groupCols, v, v, orig.Agg, e.ResolveNumeric), nil
+	return pres.JoinAggregate(auxRel, dvars, groupCols, orig.MeasureVar(), orig.Agg, e.ResolveNumeric)
 }
 
 // NaiveDrillOutFromAns is the incorrect baseline discussed in Section 3.2
