@@ -262,7 +262,11 @@ type RegStats struct {
 	MaxBytes      int64 `json:"max_bytes,omitempty"`
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
-	Coalesced     int64 `json:"coalesced"`
+	// Released counts registered rewrite results (ans-only views)
+	// released because a write moved the store past them; unlike an
+	// invalidation, no maintainable view was lost.
+	Released  int64 `json:"released"`
+	Coalesced int64 `json:"coalesced"`
 	// CoalescedRewrites counts queries that piggybacked on another
 	// client's in-flight rewrite computation.
 	CoalescedRewrites int64 `json:"coalesced_rewrites"`
@@ -448,17 +452,24 @@ func buildSchema(req *SchemaRequest) (*ans.Schema, error) {
 // IDs in N-Triples syntax through the dictionary, numbers like
 // algebra.Value (integral floats without a point). Equal cubes therefore
 // serialize byte-identically regardless of the strategy that produced
-// them.
+// them. A dimension value recurs across many cells, so each distinct
+// term is decoded and rendered once per response.
 func renderCube(cube *algebra.Relation, d *dict.Dictionary, strategy viewreg.Strategy, elapsedNs int64) *QueryResponse {
 	sorted := &algebra.Relation{Cols: cube.Cols, Rows: slices.Clone(cube.Rows)}
 	sorted.Sort()
+	terms := map[dict.ID]string{}
 	rows := make([][]string, len(sorted.Rows))
 	for i, row := range sorted.Rows {
 		cells := make([]string, len(row))
 		for j, v := range row {
 			if v.Kind == algebra.TermValue {
+				if s, ok := terms[v.ID]; ok {
+					cells[j] = s
+					continue
+				}
 				if t, ok := d.Decode(v.ID); ok {
 					cells[j] = t.String()
+					terms[v.ID] = cells[j]
 					continue
 				}
 			}

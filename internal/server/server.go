@@ -924,6 +924,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) (int, erro
 			MaxBytes:          s.cfg.MaxViewBytes,
 			Evictions:         rs.Evictions,
 			Invalidations:     rs.Invalidations,
+			Released:          rs.Released,
 			Coalesced:         rs.Coalesced,
 			CoalescedRewrites: rs.CoalescedRewrites,
 			Maintained:        rs.Maintained,

@@ -83,7 +83,8 @@ func (m *Manager) Stats() map[Strategy]int {
 
 // Answer answers q, choosing the cheapest applicable strategy. The
 // returned cube has the canonical (dims..., measure) layout of
-// Evaluator.Answer.
+// Evaluator.Answer and is immutable (see viewreg.Registry.Answer): clone
+// it before sorting or appending.
 func (m *Manager) Answer(q *core.Query) (*algebra.Relation, Strategy, error) {
 	// Forward the legacy count bound without touching any byte budget a
 	// caller configured on the shared registry.

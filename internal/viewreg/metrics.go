@@ -17,6 +17,7 @@ type regMetrics struct {
 	answers      map[Strategy]*obs.Counter
 	evictions    *obs.Counter
 	invalids     *obs.Counter
+	released     *obs.Counter
 	coalesced    *obs.Counter
 	coalescedRw  *obs.Counter
 	maintained   *obs.Counter
@@ -40,7 +41,9 @@ func wireMetrics(m *obs.Registry) regMetrics {
 	mx.evictions = m.Counter("rdfcube_viewreg_evictions_total",
 		"Materialized views evicted for the byte/count budget.")
 	mx.invalids = m.Counter("rdfcube_viewreg_invalidations_total",
-		"Materialized views dropped because the store's base epoch moved past them.")
+		"Maintainable views lost because the store's base epoch moved past them or their maintenance failed.")
+	mx.released = m.Counter("rdfcube_viewreg_released_total",
+		"Registered rewrite results (ans-only views) released because a write moved the store past them.")
 	mx.coalesced = m.Counter("rdfcube_viewreg_coalesced_total",
 		"Queries that piggybacked on another client's in-flight direct evaluation.")
 	mx.coalescedRw = m.Counter("rdfcube_viewreg_coalesced_rewrites_total",

@@ -14,6 +14,18 @@
 //   - otherwise                → direct evaluation, after which the new
 //     query's results are registered for future reuse.
 //
+// The registry also remembers what it derived (semantic caching): the
+// second time one exact fingerprint is answered by a rewrite (σ_dice,
+// Algorithm 1 or Algorithm 2), the result is registered as an ans-only
+// entry — no pres(Q), never maintained, never persisted, stamped with
+// the store version the rewrite read. It serves exact repeats as
+// "cached" and SLICE/DICE refinements of its ans(Q) by σ_dice, but never
+// drives Algorithm 1 or 2 (those need pres). It is released, not
+// maintained, once a write moves the store past it, and the byte budget
+// evicts it before any entry that carries pres. Registering on the
+// second touch rather than the first keeps one-off rewrites from
+// pinning memory.
+//
 // Four properties make the registry serve concurrent traffic:
 //
 //   - Single-flight direct evaluation: concurrent clients asking the
@@ -39,11 +51,13 @@
 //     the store version it observed and until the next registration), so
 //     repeated misses skip the candidate scan.
 //
-// Registered relations are immutable by convention: rewrites read them
-// concurrently without locks, and callers must not mutate a returned
-// cube that came from the registry (clone before sorting in place).
-// Maintenance honors this by swapping fresh pres/ans snapshots into the
-// entry rather than growing the published relations in place.
+// Every relation the registry returns or registers is immutable: rewrites
+// read registered relations concurrently without locks, one cube may be
+// returned to several callers (coalesced followers, cached hits) and be
+// registered at the same time, so callers must not mutate a returned
+// cube (clone before sorting in place). Maintenance honors this by
+// swapping fresh pres/ans snapshots into the entry rather than growing
+// the published relations in place.
 package viewreg
 
 import (
@@ -51,6 +65,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,18 +155,24 @@ type entry struct {
 	// unmaintainable; the entry is then dropped once it falls behind.
 	mp         *incr.MaintainedPres
 	upgradable bool
-	pres       *algebra.Relation
+	pres       *algebra.Relation // nil for an ansOnly entry
 	ans        *algebra.Relation
 	bytes      int64
 	ver        store.Version
 
-	// costNs is the measured direct-evaluation cost at registration —
-	// what eviction would make the next identical query pay again.
+	// costNs is the measured direct-evaluation (or, for an ansOnly
+	// entry, rewrite) cost at registration — what eviction would make
+	// the next identical query pay again.
 	// hits counts reuses (cached answers and rewrites) since
 	// registration; both feed the benefit-per-byte eviction score.
 	// Written under r.mu.
 	costNs int64
 	hits   int64
+
+	// ansOnly marks a registered rewrite result: it keeps only ans(Q)
+	// (pres, mp nil; upgradable false), is never maintained or persisted,
+	// and is released once the store moves past it. Immutable.
+	ansOnly bool
 
 	elem *list.Element // position in the LRU list; nil once removed
 }
@@ -176,8 +197,8 @@ type rewriteFlight struct {
 	done  chan struct{}
 	// waiters counts parked followers; written under the registry lock
 	// while the flight is still published, so it is final once the
-	// leader unpublishes the flight and decides whether to pay for the
-	// defensive copy below.
+	// leader unpublishes the flight. Each follower is one more ask of the
+	// fingerprint answered by this rewrite (see deriveLocked).
 	waiters  int
 	cube     *algebra.Relation
 	strategy Strategy
@@ -191,12 +212,15 @@ type Stats struct {
 	// ByStrategy counts answered queries per strategy.
 	ByStrategy map[Strategy]int64
 	// Evictions counts entries dropped for the byte/count budget;
-	// Invalidations counts entries dropped because the store's base
-	// epoch moved past them (or they could not be maintained);
-	// Coalesced counts queries that piggybacked on another client's
-	// in-flight direct evaluation.
+	// Invalidations counts maintainable views lost because the store's
+	// base epoch moved past them (or their maintenance failed);
+	// Released counts ans-only entries (registered rewrite results)
+	// dropped because a write moved the store past them — by design,
+	// not a loss; Coalesced counts queries that piggybacked on another
+	// client's in-flight direct evaluation.
 	Evictions     int64
 	Invalidations int64
+	Released      int64
 	Coalesced     int64
 	// CoalescedRewrites counts queries that piggybacked on another
 	// client's in-flight rewrite computation (e.g. N concurrent
@@ -240,9 +264,16 @@ type Registry struct {
 	// negMiss remembers exact query fingerprints whose family scan found
 	// no applicable rewrite, keyed to the packed store version observed;
 	// cleared on registration.
-	negMiss      map[uint64]uint64
+	negMiss map[uint64]uint64
+	// rewrites counts, per exact fingerprint, the asks answered by a
+	// rewrite; the second registers the result (deriveLocked).
+	rewrites map[uint64]int
+	// ansOnly counts registered ansOnly entries, so eviction looks for
+	// one only when there is one.
+	ansOnly      int
 	evictions    int64
 	invalids     int64
+	released     int64
 	coalesced    int64
 	coalescedRw  int64
 	maintained   int64
@@ -261,8 +292,10 @@ type Registry struct {
 	mx regMetrics
 }
 
-// negMissCap bounds the negative cache; the map resets past it.
-const negMissCap = 4096
+// fingerprintCap bounds the per-fingerprint maps (negMiss, rewrites);
+// each resets past it. A reset costs one candidate scan or delays one
+// registration by a rewrite.
+const fingerprintCap = 4096
 
 // notifyBatch bounds how many entries one NotifyWrite call sweeps or
 // maintains; the rest catch up lazily at lookup.
@@ -285,6 +318,7 @@ func New(inst *store.Store, cfg Config) *Registry {
 		rwFlight:       map[uint64]*rewriteFlight{},
 		stats:          map[Strategy]int64{},
 		negMiss:        map[uint64]uint64{},
+		rewrites:       map[uint64]int{},
 		mx:             wireMetrics(cfg.Metrics),
 		admissionCost:  cfg.AdmissionCost,
 		workload:       cfg.Workload,
@@ -348,6 +382,7 @@ func (r *Registry) Stats() Stats {
 		ByStrategy:        by,
 		Evictions:         r.evictions,
 		Invalidations:     r.invalids,
+		Released:          r.released,
 		Coalesced:         r.coalesced,
 		CoalescedRewrites: r.coalescedRw,
 		Maintained:        r.maintained,
@@ -359,9 +394,11 @@ func (r *Registry) Stats() Stats {
 }
 
 // Answer answers q, choosing the cheapest applicable strategy. The
-// returned cube has the canonical (dims..., measure) layout of
-// Evaluator.Answer and must be treated as immutable when the strategy is
-// StrategyCached (it aliases the registered view).
+// returned cube has the (dims..., measure) layout of Evaluator.Answer,
+// columns in q's dimension order, and is immutable whatever the
+// strategy: it may be a registered view, a rewrite result shared with
+// coalesced followers, or one about to be registered for later repeats.
+// Clone it before mutating (sorting in place, appending).
 func (r *Registry) Answer(q *core.Query) (*algebra.Relation, Strategy, error) {
 	return r.AnswerCtx(context.Background(), q)
 }
@@ -398,6 +435,13 @@ func (r *Registry) AnswerCtx(ctx context.Context, q *core.Query) (out *algebra.R
 	epoch := r.st.Epoch()
 	ver := r.st.Version()
 
+	// An exact repeat at the current version is a lookup, not a scan.
+	r.mu.Lock()
+	if cube := r.exactHitLocked(fam, key, q, ver); cube != nil {
+		r.mu.Unlock()
+		return cube, StrategyCached, nil
+	}
+
 	// Phase 1: scan the family's registered views, newest first, for an
 	// applicable rewriting, maintaining delta-stale candidates through
 	// the store's feed first. The rewrite itself runs outside the lock on
@@ -408,81 +452,36 @@ func (r *Registry) AnswerCtx(ctx context.Context, q *core.Query) (out *algebra.R
 	// one scan: the leader computes the rewrite (one σ_dice, not N),
 	// followers wait and share the cube.
 	scanned := false
-	if !r.negativeHit(key, epoch) {
-		r.mu.Lock()
-		if fl, ok := r.rwFlight[key]; ok && fl.epoch == epoch && sameAnswerShape(fl.query, q) {
-			r.coalescedRw++
-			r.mx.coalescedRw.Inc()
-			fl.waiters++
-			r.mu.Unlock()
-			wait := span.NewChild("viewreg.flight.wait")
-			wait.Attr("kind", "rewrite")
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				wait.End()
-				return nil, "", ctx.Err()
-			}
+	if r.negativeHitLocked(key, epoch) {
+		r.mu.Unlock()
+	} else if fl, ok := r.rwFlight[key]; ok && fl.epoch == epoch && sameAnswerShape(fl.query, q) {
+		r.coalescedRw++
+		r.mx.coalescedRw.Inc()
+		fl.waiters++
+		r.mu.Unlock()
+		wait := span.NewChild("viewreg.flight.wait")
+		wait.Attr("kind", "rewrite")
+		select {
+		case <-fl.done:
+		case <-ctx.Done():
 			wait.End()
-			if fl.cube != nil {
-				r.bump(fl.strategy)
-				// Each follower gets its own clone: the flight's copy is
-				// mutated by nobody, so rewrite-strategy results keep the
-				// documented caller-private semantics even when coalesced.
-				return fl.cube.Clone(), fl.strategy, nil
-			}
-			// The leader found no rewrite at this version: fall through to
-			// the direct phase without rescanning.
-		} else {
-			fl := &rewriteFlight{query: q.Clone(), epoch: epoch, done: make(chan struct{})}
-			r.rwFlight[key] = fl
-			r.mu.Unlock()
-			scanned = true
-			var (
-				rwCube  *algebra.Relation
-				rwStrat Strategy
-				rwErr   error
-			)
-			scanSpan := span.NewChild("viewreg.rewrite.scan")
-			cands := r.candidates(fam, ver)
-			scanSpan.AttrInt("candidates", int64(len(cands)))
-			scanCtx := obs.ContextWithSpan(ctx, scanSpan) // nests maintenance under the scan
-			for _, e := range cands {
-				pres, ans, ok := r.freshen(scanCtx, e, ver)
-				if !ok {
-					continue
-				}
-				rwStrat, rwCube, rwErr = r.tryRewrite(e.query, q, pres, ans)
-				if rwErr != nil || rwCube != nil {
-					if rwCube != nil {
-						r.touch(e)
-					}
-					break
-				}
-			}
-			scanSpan.End()
-			r.mu.Lock()
-			if r.rwFlight[key] == fl {
-				delete(r.rwFlight, key)
-			}
-			waiters := fl.waiters // final: the flight is unpublished
-			r.mu.Unlock()
-			if rwErr == nil && rwCube != nil && waiters > 0 {
-				// Publish a defensive copy: the leader's caller owns rwCube
-				// (rewrite results are caller-private and may be mutated,
-				// e.g. sorted in place); followers clone from this copy.
-				// With nobody parked, the flight never leaves this scope
-				// and the copy is skipped.
-				fl.cube, fl.strategy = rwCube.Clone(), rwStrat
-			}
-			close(fl.done)
-			if rwErr != nil {
-				return nil, "", rwErr
-			}
-			if rwCube != nil {
-				r.bump(rwStrat)
-				return rwCube, rwStrat, nil
-			}
+			return nil, "", ctx.Err()
+		}
+		wait.End()
+		if fl.cube != nil {
+			r.bump(fl.strategy)
+			return fl.cube, fl.strategy, nil
+		}
+		// The leader found no rewrite at this version: fall through to
+		// the direct phase without rescanning.
+	} else {
+		fl := &rewriteFlight{query: q.Clone(), epoch: epoch, done: make(chan struct{})}
+		r.rwFlight[key] = fl
+		r.mu.Unlock()
+		scanned = true
+		cube, strat, err := r.leadRewrite(ctx, span, fl, fam, key, ver)
+		if err != nil || cube != nil {
+			return cube, strat, err
 		}
 	}
 
@@ -492,24 +491,13 @@ func (r *Registry) AnswerCtx(ctx context.Context, q *core.Query) (out *algebra.R
 	if scanned {
 		r.recordMissLocked(key, epoch)
 	}
-	// Re-check the family under the lock: a leader finishing between our
-	// phase-1 scan and here publishes its entry and removes its flight in
-	// one lock hold, so an identical query must land on exactly one of
-	// the two — without this, it would see neither and evaluate a second
-	// time.
-	bucket := r.families[fam]
-	for i := len(bucket) - 1; i >= 0; i-- {
-		if e := bucket[i]; e.ver == ver && sameAnswerShape(e.query, q) {
-			if e.elem != nil {
-				r.lru.MoveToFront(e.elem)
-				e.hits++
-			}
-			r.stats[StrategyCached]++
-			r.mx.answers[StrategyCached].Inc()
-			cube := e.ans
-			r.mu.Unlock()
-			return cube, StrategyCached, nil
-		}
+	// Re-check under the lock: a leader finishing between our phase-1
+	// scan and here publishes its entry and removes its flight in one lock
+	// hold, so an identical query must land on exactly one of the two —
+	// without this, it would see neither and evaluate a second time.
+	if cube := r.exactHitLocked(fam, key, q, ver); cube != nil {
+		r.mu.Unlock()
+		return cube, StrategyCached, nil
 	}
 	if fl, ok := r.inflight[key]; ok && sameAnswerShape(fl.query, q) {
 		r.coalesced++
@@ -607,13 +595,113 @@ func (r *Registry) AnswerCtx(ctx context.Context, q *core.Query) (out *algebra.R
 	return cube, StrategyDirect, nil
 }
 
+// exactHitLocked returns the registered ans(Q) of an entry answering q
+// verbatim — same exact key, same answer shape (dimension order
+// included) and fresh at ver — counting the hit, or nil. A repeat is
+// then one bucket walk on a uint64 key, without candidates, freshen or
+// tryRewrite. Caller holds r.mu.
+func (r *Registry) exactHitLocked(fam, key uint64, q *core.Query, ver store.Version) *algebra.Relation {
+	bucket := r.families[fam]
+	for i := len(bucket) - 1; i >= 0; i-- {
+		e := bucket[i]
+		if e.key != key || e.ver != ver || !sameAnswerShape(e.query, q) {
+			continue
+		}
+		r.lru.MoveToFront(e.elem)
+		e.hits++
+		r.stats[StrategyCached]++
+		r.mx.answers[StrategyCached].Inc()
+		return e.ans
+	}
+	return nil
+}
+
+// leadRewrite runs the phase-1 scan as fl's leader: it walks the
+// family's live candidates for an applicable rewrite, then unpublishes
+// fl, hands the result to its followers and, for a true rewrite, counts
+// the asks towards registration. A nil cube with nil error means no
+// candidate applied.
+func (r *Registry) leadRewrite(ctx context.Context, span *obs.Span, fl *rewriteFlight, fam, key uint64, ver store.Version) (*algebra.Relation, Strategy, error) {
+	var (
+		cube  *algebra.Relation
+		strat Strategy
+		err   error
+	)
+	start := time.Now()
+	scanSpan := span.NewChild("viewreg.rewrite.scan")
+	cands := r.candidates(fam, ver)
+	scanSpan.AttrInt("candidates", int64(len(cands)))
+	scanCtx := obs.ContextWithSpan(ctx, scanSpan) // nests maintenance under the scan
+	for _, e := range cands {
+		pres, ans, ok := r.freshen(scanCtx, e, ver)
+		if !ok {
+			continue
+		}
+		strat, cube, err = r.tryRewrite(e.query, fl.query, pres, ans)
+		if err != nil || cube != nil {
+			if cube != nil {
+				r.touch(e)
+			}
+			break
+		}
+	}
+	scanSpan.End()
+	r.mu.Lock()
+	if r.rwFlight[key] == fl {
+		delete(r.rwFlight, key)
+	}
+	if err == nil && cube != nil {
+		fl.cube, fl.strategy = cube, strat
+		r.stats[strat]++
+		r.mx.answers[strat].Inc()
+		if strat != StrategyCached {
+			r.deriveLocked(fl, fam, key, ver, 1+fl.waiters, time.Since(start).Nanoseconds())
+		}
+	}
+	r.mu.Unlock()
+	close(fl.done)
+	if err != nil {
+		return nil, "", err
+	}
+	return cube, strat, nil
+}
+
+// deriveLocked counts n more asks of fl's fingerprint answered by the
+// rewrite fl just computed and, from the second ask on, registers the
+// result as an ansOnly entry stamped with ver, the version the rewrite
+// read. The second touch, not the first, so a one-off rewrite pins no
+// memory; not registered if a write moved the store since fl started.
+// Caller holds r.mu.
+func (r *Registry) deriveLocked(fl *rewriteFlight, fam, key uint64, ver store.Version, n int, costNs int64) {
+	if len(r.rewrites) >= fingerprintCap {
+		r.rewrites = map[uint64]int{}
+	}
+	r.rewrites[key] += n
+	if r.rewrites[key] < 2 || r.st.Epoch() != fl.epoch {
+		return
+	}
+	r.insertLocked(&entry{
+		fam:     fam,
+		key:     key,
+		query:   fl.query,
+		ansOnly: true,
+		ans:     fl.cube,
+		bytes:   relationBytes(fl.cube) + entryOverhead,
+		ver:     ver,
+		costNs:  costNs,
+	})
+}
+
 // NotifyWrite tells the registry the instance just changed. It sweeps a
 // bounded batch of entries, most recently used first: views behind only
 // on the delta sequence are maintained through the store's feed, views
 // whose base epoch moved (or that cannot be maintained) are dropped
 // eagerly — so the byte accounting in Stats stays honest between
 // lookups instead of waiting for lookup-time pruning. Entries beyond the
-// batch bound catch up lazily at their next lookup.
+// batch bound catch up lazily at their next lookup. Releasing an ansOnly
+// entry is a pointer unlink, so it does not count against the batch:
+// however many rewrite results are registered, the bound is spent on
+// views that carry pres.
 //
 // Call it inside the same write critical section that mutated the store
 // (the server does), so maintenance never races further writes.
@@ -629,21 +717,23 @@ func (r *Registry) NotifyWriteCtx(ctx context.Context) {
 	n := 0
 	for el := r.lru.Front(); el != nil && n < notifyBatch; el = el.Next() {
 		e := el.Value.(*entry)
-		n++
-		if e.ver == ver {
-			continue
-		}
-		if e.ver.Base != ver.Base || (e.mp == nil && !e.upgradable) {
+		switch {
+		case e.ver == ver:
+			n++
+		case e.ansOnly:
 			stale = append(stale, e)
-		} else {
+		case e.ver.Base != ver.Base || (e.mp == nil && !e.upgradable):
+			n++
+			stale = append(stale, e)
+		default:
+			n++
 			behind = append(behind, e)
 		}
 	}
 	for _, e := range stale {
 		r.dropLocked(e)
 		r.removeFromFamilyLocked(e)
-		r.invalids++
-		r.mx.invalids.Inc()
+		r.countLossLocked(e)
 	}
 	r.mu.Unlock()
 	for _, e := range behind {
@@ -662,8 +752,7 @@ func (r *Registry) candidates(fam uint64, ver store.Version) []*entry {
 	for _, e := range bucket {
 		if e.ver.Base != ver.Base || (e.ver != ver && e.mp == nil && !e.upgradable) {
 			r.dropLocked(e)
-			r.invalids++
-			r.mx.invalids.Inc()
+			r.countLossLocked(e)
 			continue
 		}
 		live = append(live, e)
@@ -761,17 +850,28 @@ func (r *Registry) discard(e *entry) {
 	if e.elem != nil {
 		r.dropLocked(e)
 		r.removeFromFamilyLocked(e)
-		r.invalids++
-		r.mx.invalids.Inc()
+		r.countLossLocked(e)
 	}
 	r.mu.Unlock()
 }
 
-// negativeHit reports whether the negative cache remembers key missing
-// at the given packed store version.
-func (r *Registry) negativeHit(key uint64, epoch uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// countLossLocked counts e, just dropped because the store moved past
+// it (or its maintenance failed): an ansOnly entry is released, by
+// design; any other entry was a maintainable view, and its loss is an
+// invalidation. Caller holds r.mu.
+func (r *Registry) countLossLocked(e *entry) {
+	if e.ansOnly {
+		r.released++
+		r.mx.released.Inc()
+		return
+	}
+	r.invalids++
+	r.mx.invalids.Inc()
+}
+
+// negativeHitLocked reports whether the negative cache remembers key
+// missing at the given packed store version. Caller holds r.mu.
+func (r *Registry) negativeHitLocked(key uint64, epoch uint64) bool {
 	if v, ok := r.negMiss[key]; ok && v == epoch {
 		r.negSkips++
 		r.mx.negSkips.Inc()
@@ -783,7 +883,7 @@ func (r *Registry) negativeHit(key uint64, epoch uint64) bool {
 // recordMissLocked remembers that key's family scan found no applicable
 // rewrite at the given packed version. Caller holds r.mu.
 func (r *Registry) recordMissLocked(key uint64, epoch uint64) {
-	if len(r.negMiss) >= negMissCap {
+	if len(r.negMiss) >= fingerprintCap {
 		r.negMiss = map[uint64]uint64{}
 	}
 	r.negMiss[key] = epoch
@@ -801,6 +901,10 @@ func (r *Registry) tryRewrite(eq *core.Query, q *core.Query, pres, ans *algebra.
 	}
 	switch headRelation(eq.Classifier.Head, q.Classifier.Head) {
 	case headEqual:
+		// eq may list the same dimensions in another order: answer in q's.
+		if cols := answerCols(q); !slices.Equal(ans.Cols, cols) {
+			ans = ans.Project(cols...)
+		}
 		if sigmaEqual(eq.Sigma, q.Sigma) {
 			return StrategyCached, ans, nil
 		}
@@ -812,12 +916,13 @@ func (r *Registry) tryRewrite(eq *core.Query, q *core.Query, pres, ans *algebra.
 			return StrategyDice, cube, nil
 		}
 	case headSubset:
-		// q drops dimensions from eq. Algorithm 1 applies when the
+		// q drops dimensions from eq. Algorithm 1 needs pres, so an
+		// ansOnly entry never drives it. It applies when the
 		// surviving dimensions carry identical restrictions and the
 		// dropped dimensions were unrestricted in eq — DrillOut removes a
 		// dropped dimension's Σ entry, so a restriction baked into
 		// pres would over-filter q's answer.
-		if !sigmaEqualOn(eq.Sigma, q.Sigma, q.Dims()) {
+		if pres == nil || !sigmaEqualOn(eq.Sigma, q.Sigma, q.Dims()) {
 			return "", nil, nil
 		}
 		drop := missingDims(eq.Dims(), q.Dims())
@@ -831,14 +936,13 @@ func (r *Registry) tryRewrite(eq *core.Query, q *core.Query, pres, ans *algebra.
 			return "", nil, err
 		}
 		// Reorder to q's dimension order if needed.
-		cols := append(append([]string(nil), q.Dims()...), q.MeasureVar())
-		return StrategyDrillOut, cube.Project(cols...), nil
+		return StrategyDrillOut, cube.Project(answerCols(q)...), nil
 	case headSuperset:
 		// q adds dimensions; Algorithm 2 handles one added existential
-		// dimension per application. Apply iteratively for several.
+		// dimension per application, and needs pres.
 		added := missingDims(q.Dims(), eq.Dims())
-		if len(added) != 1 {
-			return "", nil, nil // multi-dim drill-in: fall back to direct
+		if pres == nil || len(added) != 1 {
+			return "", nil, nil // ans-only entry or multi-dim drill-in
 		}
 		if !sigmaEqualOn(eq.Sigma, q.Sigma, eq.Dims()) || q.Sigma.Restricts(added[0]) {
 			return "", nil, nil
@@ -849,10 +953,15 @@ func (r *Registry) tryRewrite(eq *core.Query, q *core.Query, pres, ans *algebra.
 			// classifier; treat as not applicable.
 			return "", nil, nil
 		}
-		cols := append(append([]string(nil), q.Dims()...), q.MeasureVar())
-		return StrategyDrillIn, cube.Project(cols...), nil
+		return StrategyDrillIn, cube.Project(answerCols(q)...), nil
 	}
 	return "", nil, nil
+}
+
+// answerCols is the column layout of q's answer: its dimensions in head
+// order, then the measure.
+func answerCols(q *core.Query) []string {
+	return append(append([]string(nil), q.Dims()...), q.MeasureVar())
 }
 
 // touch marks e most recently used and counts the reuse, if it is
@@ -912,30 +1021,41 @@ func (r *Registry) insertLocked(e *entry) {
 	r.families[e.fam] = append(r.families[e.fam], e)
 	e.elem = r.lru.PushFront(e)
 	r.bytes += e.bytes
+	if e.ansOnly {
+		r.ansOnly++
+	}
 	r.evictLocked()
 	if e.elem != nil && len(r.negMiss) > 0 {
 		r.negMiss = map[uint64]uint64{}
 	}
 }
 
-// evictLocked drops entries until the budgets hold. Admit-always mode
-// evicts least-recently-used; cost mode evicts the lowest
-// benefit-per-byte — measured rebuild cost × (hits+1) / bytes — so a
-// cheap-to-rebuild, rarely-hit giant goes before a hot, expensive
-// view, regardless of recency. The scan is O(entries) per eviction,
-// bounded by the same budgets that triggered it.
+// evictLocked drops entries until the budgets hold. ansOnly entries go
+// before any entry that carries pres: a rewrite re-derives one from a
+// base in one pass, while a lost base costs a direct evaluation and the
+// rewrites it fed. Within a class, admit-always mode evicts
+// least-recently-used; cost mode evicts the lowest benefit-per-byte —
+// measured rebuild cost × (hits+1) / bytes — so a cheap-to-rebuild,
+// rarely-hit giant goes before a hot, expensive view, regardless of
+// recency. The scan is O(entries) per eviction, bounded by the same
+// budgets that triggered it.
 func (r *Registry) evictLocked() {
 	for r.lru.Len() > 0 &&
 		((r.maxBytes > 0 && r.bytes > r.maxBytes) ||
 			(r.maxEntries > 0 && r.lru.Len() > r.maxEntries)) {
-		victim := r.lru.Back().Value.(*entry)
-		if r.admissionCost && r.lru.Len() > 1 {
-			best := benefitPerByte(victim)
-			for el := r.lru.Back().Prev(); el != nil; el = el.Prev() {
-				e := el.Value.(*entry)
-				if s := benefitPerByte(e); s < best {
-					best, victim = s, e
-				}
+		var victim *entry
+		best := 0.0
+		for el := r.lru.Back(); el != nil; el = el.Prev() {
+			e := el.Value.(*entry)
+			if r.ansOnly > 0 && !e.ansOnly {
+				continue
+			}
+			if !r.admissionCost {
+				victim = e
+				break
+			}
+			if s := benefitPerByte(e); victim == nil || s < best {
+				best, victim = s, e
 			}
 		}
 		r.dropLocked(victim)
@@ -965,6 +1085,9 @@ func (r *Registry) dropLocked(e *entry) {
 		r.lru.Remove(e.elem)
 		e.elem = nil
 		r.bytes -= e.bytes
+		if e.ansOnly {
+			r.ansOnly--
+		}
 	}
 }
 
@@ -991,8 +1114,12 @@ func (r *Registry) Describe() string {
 	i := 0
 	for el := r.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		s += fmt.Sprintf("  [%d] dims=%v agg=%s pres=%d rows ans=%d cells ver=%d.%d\n",
-			i, e.query.Dims(), e.query.Agg.Name(), e.pres.Len(), e.ans.Len(), e.ver.Base, e.ver.Seq)
+		pres := "ans-only"
+		if !e.ansOnly {
+			pres = fmt.Sprintf("pres=%d rows", e.pres.Len())
+		}
+		s += fmt.Sprintf("  [%d] dims=%v agg=%s %s ans=%d cells ver=%d.%d\n",
+			i, e.query.Dims(), e.query.Agg.Name(), pres, e.ans.Len(), e.ver.Base, e.ver.Seq)
 		i++
 	}
 	return s

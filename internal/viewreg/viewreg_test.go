@@ -241,6 +241,8 @@ func TestConcurrentTransformationsRewriteAfterOneDirect(t *testing.T) {
 	// Every client runs the same session: base cube, then a DICE, then a
 	// DRILL-OUT. Across all clients there must be exactly one direct
 	// evaluation, and every rewrite must agree with direct evaluation.
+	// From the second ask on, a rewrite result is registered, so later
+	// asks may be served cached instead.
 	r := New(instance(3, 100), Config{})
 	base := query(t, agg.Sum)
 
@@ -279,14 +281,25 @@ func TestConcurrentTransformationsRewriteAfterOneDirect(t *testing.T) {
 
 	diced, _ := core.Dice(base, map[string][]rdf.Term{"d0": {rdf.NewInt(0), rdf.NewInt(3)}})
 	qOut, _ := core.DrillOut(base, "d0")
+	var nDice, nDrill, nCached int64
 	for i := 0; i < clients; i++ {
 		if dice[i].err != nil || drill[i].err != nil {
 			t.Fatalf("client %d: dice err %v drill err %v", i, dice[i].err, drill[i].err)
 		}
-		if dice[i].strategy != StrategyDice {
+		switch dice[i].strategy {
+		case StrategyDice:
+			nDice++
+		case StrategyCached:
+			nCached++
+		default:
 			t.Errorf("client %d: dice strategy = %s", i, dice[i].strategy)
 		}
-		if drill[i].strategy != StrategyDrillOut {
+		switch drill[i].strategy {
+		case StrategyDrillOut:
+			nDrill++
+		case StrategyCached:
+			nCached++
+		default:
 			t.Errorf("client %d: drill-out strategy = %s", i, drill[i].strategy)
 		}
 		checkAgainstDirect(t, r, diced, dice[i].cube, fmt.Sprintf("client %d dice", i))
@@ -296,8 +309,16 @@ func TestConcurrentTransformationsRewriteAfterOneDirect(t *testing.T) {
 	if st.ByStrategy[StrategyDirect] != 1 {
 		t.Errorf("direct evaluations = %d, want exactly 1 (stats: %+v)", st.ByStrategy[StrategyDirect], st)
 	}
-	if st.ByStrategy[StrategyDice] != clients || st.ByStrategy[StrategyDrillOut] != clients {
-		t.Errorf("rewrite counts = %+v, want %d each", st.ByStrategy, clients)
+	// Every ask before the registration is a rewrite, every one after it
+	// cached; the first ask of each is always a rewrite.
+	if nDice == 0 || nDrill == 0 || st.ByStrategy[StrategyDice] != nDice || st.ByStrategy[StrategyDrillOut] != nDrill ||
+		st.ByStrategy[StrategyCached] != clients-1+nCached {
+		t.Errorf("strategy counts = %+v, want dice %d, drill-out %d, cached %d",
+			st.ByStrategy, nDice, nDrill, clients-1+nCached)
+	}
+	// Eight asks each: both rewrite results are registered.
+	if st.Entries != 3 {
+		t.Errorf("Entries = %d, want 3 (base + the DICE and DRILL-OUT results)", st.Entries)
 	}
 }
 
@@ -693,8 +714,8 @@ func TestRewriteSingleFlightDeterministic(t *testing.T) {
 		t.Fatalf("follower got strategy %s (%d cells), want the leader's dice cube (%d cells)",
 			a.strt, a.cube.Len(), want.Len())
 	}
-	if a.cube == want {
-		t.Fatal("follower must receive a private clone, not the shared flight cube")
+	if a.cube != want {
+		t.Fatal("follower must share the leader's (immutable) cube, not a copy")
 	}
 	st := r.Stats()
 	if st.CoalescedRewrites != 1 {
@@ -720,7 +741,8 @@ func mustEntryAns(t *testing.T, r *Registry, q *core.Query) *algebra.Relation {
 }
 
 // TestRewriteSingleFlightConcurrent: N concurrent identical DICEs all
-// answer correctly; the coalesced ones reuse the one computed cube.
+// answer correctly; σ_dice runs once for all of them — the coalesced
+// ones reuse the leader's cube, the later ones its registration.
 func TestRewriteSingleFlightConcurrent(t *testing.T) {
 	inst := instance(11, 400)
 	r := New(inst, Config{})
@@ -732,6 +754,12 @@ func TestRewriteSingleFlightConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One ask first: the burst's leader is then the second ask, so it
+	// registers its result whether or not anyone coalesced on it.
+	if _, s, err := r.Answer(diced); err != nil || s != StrategyDice {
+		t.Fatalf("first dice: strategy %v err %v", s, err)
+	}
+	before := r.Stats()
 	const clients = 16
 	var wg sync.WaitGroup
 	cubes := make([]*algebra.Relation, clients)
@@ -744,8 +772,8 @@ func TestRewriteSingleFlightConcurrent(t *testing.T) {
 				t.Errorf("client %d: %v", i, err)
 				return
 			}
-			if strt != StrategyDice {
-				t.Errorf("client %d: strategy %s, want dice-rewrite", i, strt)
+			if strt != StrategyDice && strt != StrategyCached {
+				t.Errorf("client %d: strategy %s, want dice-rewrite or cached", i, strt)
 			}
 			cubes[i] = cube
 		}(i)
@@ -760,8 +788,12 @@ func TestRewriteSingleFlightConcurrent(t *testing.T) {
 		}
 	}
 	st := r.Stats()
-	if n := st.ByStrategy[StrategyDice]; n != clients {
-		t.Fatalf("dice strategy count = %d, want %d", n, clients)
+	coalesced := st.CoalescedRewrites - before.CoalescedRewrites
+	if n := st.ByStrategy[StrategyDice] - before.ByStrategy[StrategyDice]; n != 1+coalesced {
+		t.Fatalf("dice strategy count = %d, want %d: σ ran once, for the leader and its %d followers", n, 1+coalesced, coalesced)
+	}
+	if n := st.ByStrategy[StrategyCached] - before.ByStrategy[StrategyCached]; n != clients-1-coalesced {
+		t.Fatalf("cached count = %d, want %d", n, clients-1-coalesced)
 	}
 	checkAgainstDirect(t, r, diced, cubes[0], "coalesced dice")
 }
