@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"os"
 
+	"rdfcube"
 	"rdfcube/internal/datagen"
-	"rdfcube/internal/nt"
 	"rdfcube/internal/store"
 )
 
@@ -65,25 +65,8 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	nw := nt.NewWriter(w)
-	d := st.Dict()
-	var wErr error
-	st.ForEach(store.Pattern{}, func(t store.IDTriple) bool {
-		tr, ok := d.DecodeTriple(t.S, t.P, t.O)
-		if !ok {
-			return true
-		}
-		if err := nw.Write(tr); err != nil {
-			wErr = err
-			return false
-		}
-		return true
-	})
-	if wErr == nil {
-		wErr = nw.Flush()
-	}
-	if wErr != nil {
-		fmt.Fprintf(os.Stderr, "datagen: %v\n", wErr)
+	if err := rdfcube.WriteNTriples(st, w); err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "datagen: wrote %d triples\n", st.Len())

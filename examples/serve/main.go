@@ -25,10 +25,9 @@ import (
 	"net/http"
 	"time"
 
+	"rdfcube"
 	"rdfcube/internal/datagen"
-	"rdfcube/internal/nt"
 	"rdfcube/internal/server"
-	"rdfcube/internal/store"
 )
 
 func main() {
@@ -57,14 +56,9 @@ func main() {
 		log.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w := nt.NewWriter(&buf)
-	d := graph.Dict()
-	graph.ForEach(store.Pattern{}, func(t store.IDTriple) bool {
-		tr, _ := d.DecodeTriple(t.S, t.P, t.O)
-		w.Write(tr)
-		return true
-	})
-	w.Flush()
+	if err := rdfcube.WriteNTriples(graph, &buf); err != nil {
+		log.Fatal(err)
+	}
 	var load server.LoadResponse
 	mustCall(base+"/load", "text/plain", buf.Bytes(), &load)
 	fmt.Printf("loaded %d triples\n", load.Triples)

@@ -1,4 +1,4 @@
-// Interactive-style OLAP session: a Session manager answers a sequence
+// Interactive-style OLAP session: a Session answers a sequence
 // of analytical queries, automatically detecting that each one is a
 // SLICE, DICE, DRILL-OUT or DRILL-IN of an earlier, materialized query
 // and answering it by rewriting instead of re-evaluation — the paper's
@@ -75,7 +75,7 @@ func main() {
 			step.name, strategy, time.Since(t0).Round(time.Microsecond), cube.Len())
 	}
 
-	fmt.Printf("\nstrategy totals: %v\n", sess.Stats())
+	fmt.Printf("\nstrategy totals: %v\n", sess.Stats().ByStrategy)
 	fmt.Println("only the first answer touched the AnS instance; every later one reused it.")
 
 	// Show the final drill-out cube.
@@ -87,6 +87,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	direct, err := sess.Evaluator().Answer(qOut)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\ndrill-out cube: %d cells, equal=%v to direct evaluation\n",
+		cube.Len(), rdfcube.CubesEqual(direct, cube.Project(direct.Cols...)))
 	fmt.Println("\ndrill-out cube (first rows):")
 	small := cube.Clone()
 	small.Sort()

@@ -189,17 +189,3 @@ func (r *Relation) JoinAggregate(other *Relation, on, group []string, v string, 
 	out.Rows = aggRows(p.run())
 	return out, nil
 }
-
-// NaturalJoin joins on all shared column names.
-func (r *Relation) NaturalJoin(other *Relation) (*Relation, error) {
-	var shared []string
-	for _, c := range r.Cols {
-		if other.Column(c) >= 0 {
-			shared = append(shared, c)
-		}
-	}
-	if len(shared) == 0 {
-		return nil, fmt.Errorf("algebra: natural join with no shared columns (%v vs %v)", r.Cols, other.Cols)
-	}
-	return r.Join(other, shared, shared)
-}

@@ -234,22 +234,6 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-func TestNaturalJoin(t *testing.T) {
-	a := rel([]string{"x", "d"}, Row{TermV(1), TermV(5)})
-	b := rel([]string{"x", "v"}, Row{TermV(1), NumV(7)})
-	got, err := a.NaturalJoin(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || len(got.Cols) != 3 {
-		t.Errorf("natural join = %v %v", got.Cols, got.Rows)
-	}
-	c := rel([]string{"q"}, Row{TermV(1)})
-	if _, err := a.NaturalJoin(c); err == nil {
-		t.Error("natural join without shared columns accepted")
-	}
-}
-
 func TestEqualBagSemantics(t *testing.T) {
 	a := rel([]string{"x"}, Row{TermV(1)}, Row{TermV(1)}, Row{TermV(2)})
 	b := rel([]string{"x"}, Row{TermV(2)}, Row{TermV(1)}, Row{TermV(1)})

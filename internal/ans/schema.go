@@ -167,37 +167,3 @@ func (s *Schema) Materialize(base *store.Store) (*store.Store, error) {
 	inst.AddBatch(ts)
 	return inst, nil
 }
-
-// CheckQuery verifies that q is homomorphic to the schema: every triple
-// pattern either has predicate rdf:type with a declared analysis class as
-// object, or a declared analysis property as predicate. Classifier and
-// measure queries of analytical queries must pass this check.
-func (s *Schema) CheckQuery(q *sparql.Query) error {
-	classes := map[rdf.Term]bool{}
-	for _, n := range s.Nodes {
-		classes[n.Class] = true
-	}
-	props := map[rdf.Term]bool{}
-	for _, e := range s.Edges {
-		props[e.Property] = true
-	}
-	for _, tp := range q.Patterns {
-		if tp.P.IsVar() {
-			return fmt.Errorf("ans: pattern %s has a variable predicate; AnQ queries must use schema properties", tp)
-		}
-		p := tp.P.Term
-		if p == rdf.Type {
-			if tp.O.IsVar() {
-				return fmt.Errorf("ans: pattern %s: rdf:type object must be a declared class", tp)
-			}
-			if !classes[tp.O.Term] {
-				return fmt.Errorf("ans: pattern %s: %s is not a class of schema %q", tp, tp.O.Term, s.Name)
-			}
-			continue
-		}
-		if !props[p] {
-			return fmt.Errorf("ans: pattern %s: %s is not a property of schema %q", tp, p, s.Name)
-		}
-	}
-	return nil
-}

@@ -148,34 +148,6 @@ func TestNodeEdgeLookup(t *testing.T) {
 	}
 }
 
-func TestCheckQuery(t *testing.T) {
-	s := testSchema()
-	ok := sparql.MustParseDatalog("c(x, c) :- x rdf:type :Blogger, x :livesIn c", px())
-	if err := s.CheckQuery(ok); err != nil {
-		t.Errorf("valid AnQ query rejected: %v", err)
-	}
-	badProp := sparql.MustParseDatalog("c(x) :- x :notInSchema y", px())
-	if err := s.CheckQuery(badProp); err == nil {
-		t.Error("non-schema property accepted")
-	}
-	badClass := sparql.MustParseDatalog("c(x) :- x rdf:type :NotAClass", px())
-	if err := s.CheckQuery(badClass); err == nil {
-		t.Error("non-schema class accepted")
-	}
-	varPred := &sparql.Query{Head: []string{"x"}, Patterns: []sparql.TriplePattern{
-		{S: sparql.V("x"), P: sparql.V("p"), O: sparql.V("y")},
-	}}
-	if err := s.CheckQuery(varPred); err == nil {
-		t.Error("variable predicate accepted")
-	}
-	varClass := &sparql.Query{Head: []string{"x"}, Patterns: []sparql.TriplePattern{
-		{S: sparql.V("x"), P: sparql.C(rdf.Type), O: sparql.V("c")},
-	}}
-	if err := s.CheckQuery(varClass); err == nil {
-		t.Error("variable rdf:type object accepted")
-	}
-}
-
 func TestMaterializeIndependentNodeEdge(t *testing.T) {
 	// A node query and an edge query that disagree: facts in the class
 	// without edge values, and edge values for resources outside the

@@ -57,7 +57,7 @@ func TestBatchStreamPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	st := diffGraph(rng, 400, false)
 	for _, shape := range streamShapes {
-		ops, err := Explain(st, sparql.MustParseDatalog(shape.query, px()))
+		ops, err := explain(st, sparql.MustParseDatalog(shape.query, px()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -268,7 +268,7 @@ func TestCursorJoinDifferentialPlans(t *testing.T) {
 		"cross-groups":   "merge",
 	}
 	for _, shape := range diffShapes {
-		ops, err := Explain(st, sparql.MustParseDatalog(shape.query, px()))
+		ops, err := explain(st, sparql.MustParseDatalog(shape.query, px()))
 		if err != nil {
 			t.Fatal(err)
 		}

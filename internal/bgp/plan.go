@@ -34,7 +34,6 @@ package bgp
 import (
 	"strings"
 
-	"rdfcube/internal/sparql"
 	"rdfcube/internal/store"
 )
 
@@ -357,7 +356,7 @@ func planSorted(compiled []compiledPattern, steps []planStep, nv int) (order []i
 	return order, true
 }
 
-// sortedLabel renders a sort property for Explain and trace spans:
+// sortedLabel renders a sort property for trace spans:
 // "sorted!(x,y)" when strict, "sorted(x,y)" otherwise.
 func sortedLabel(order []int, strict bool, vars []string) string {
 	names := make([]string, len(order))
@@ -369,26 +368,4 @@ func sortedLabel(order []int, strict bool, vars []string) string {
 		bang = "!"
 	}
 	return "sorted" + bang + "(" + strings.Join(names, ",") + ")"
-}
-
-// Explain returns the physical operators of the plan for q's body in
-// execution order — "nested", "merge", "leapfrog", "stream" — for
-// diagnostics, benchmarks and tests — followed by a final "sorted!(x,y)"
-// element naming the sort property the pipeline's output obeys. A query
-// with an unknown constant (empty result) explains as an empty plan.
-func Explain(st *store.Store, q *sparql.Query) ([]string, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	compiled, vars, err := compile(st, q.Patterns)
-	if err != nil || compiled == nil {
-		return nil, err
-	}
-	steps := planPipeline(st, compiled, len(vars), false)
-	out := make([]string, len(steps))
-	for i, s := range steps {
-		out[i] = s.kind.String()
-	}
-	order, strict := planSorted(compiled, steps, len(vars))
-	return append(out, sortedLabel(order, strict, vars)), nil
 }

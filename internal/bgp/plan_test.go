@@ -31,12 +31,33 @@ func planGraph() *store.Store {
 	return st
 }
 
+// explain returns the physical operators of the plan for q's body in
+// execution order — "nested", "merge", "leapfrog", "stream" — followed by a final "sorted!(x,y)"
+// element naming the sort property the pipeline's output obeys. A query
+// with an unknown constant (empty result) explains as an empty plan.
+func explain(st *store.Store, q *sparql.Query) ([]string, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	compiled, vars, err := compile(st, q.Patterns)
+	if err != nil || compiled == nil {
+		return nil, err
+	}
+	steps := planPipeline(st, compiled, len(vars), false)
+	out := make([]string, len(steps))
+	for i, s := range steps {
+		out[i] = s.kind.String()
+	}
+	order, strict := planSorted(compiled, steps, len(vars))
+	return append(out, sortedLabel(order, strict, vars)), nil
+}
+
 func explainString(t *testing.T, st *store.Store, src string) string {
 	t.Helper()
 	q := sparql.MustParseDatalog(src, px())
-	ops, err := Explain(st, q)
+	ops, err := explain(st, q)
 	if err != nil {
-		t.Fatalf("Explain(%s): %v", src, err)
+		t.Fatalf("explain(%s): %v", src, err)
 	}
 	return strings.Join(ops, ",")
 }

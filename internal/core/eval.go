@@ -183,44 +183,6 @@ func (e *Evaluator) AnswerFromPres(q *Query, pres *algebra.Relation) (*algebra.R
 	return cube, nil
 }
 
-// Intermediary computes int(Q) = c ⋈_x m̄ (Definition 3), where m̄ is the
-// set-semantics query with m's body and all of m's body variables in the
-// head. It is conceptually useful (Equation 1) but never needed for
-// answering; provided for tests and completeness.
-func (e *Evaluator) Intermediary(q *Query) (*algebra.Relation, error) {
-	c, err := e.EvalClassifier(q)
-	if err != nil {
-		return nil, err
-	}
-	mbar := q.Measure.Clone()
-	root := q.Root()
-	// Rename non-root measure variables that collide with classifier
-	// columns; the classifier and measure only share the root.
-	taken := map[string]bool{}
-	for _, col := range c.Cols {
-		taken[col] = true
-	}
-	for _, vname := range mbar.Vars() {
-		if vname != root && taken[vname] {
-			renameVar(mbar, vname, vname+"_m")
-		}
-	}
-	mbar.Head = mbar.Vars() // all body variables, sorted
-	// Keep the root first for readability.
-	for i, vname := range mbar.Head {
-		if vname == root && i != 0 {
-			mbar.Head[0], mbar.Head[i] = mbar.Head[i], mbar.Head[0]
-			break
-		}
-	}
-	res, err := bgp.EvalSetCtx(e.context(), e.inst, mbar)
-	if err != nil {
-		return nil, err
-	}
-	mrel := resultToRelation(res)
-	return c.Join(mrel, []string{root}, []string{root})
-}
-
 // checkPresSchema verifies that rel has the canonical pres(Q) layout.
 func checkPresSchema(q *Query, rel *algebra.Relation) error {
 	want := append([]string{q.Root()}, q.Dims()...)
@@ -252,27 +214,6 @@ func resultToRelation(res *bgp.Result) *algebra.Relation {
 		rel.Rows[i] = r
 	}
 	return rel
-}
-
-// renameVar rewrites every occurrence of variable old to new in q's body
-// and head.
-func renameVar(q *sparql.Query, old, new string) {
-	for i := range q.Head {
-		if q.Head[i] == old {
-			q.Head[i] = new
-		}
-	}
-	for i, tp := range q.Patterns {
-		if tp.S.Var == old {
-			q.Patterns[i].S = sparql.V(new)
-		}
-		if tp.P.Var == old {
-			q.Patterns[i].P = sparql.V(new)
-		}
-		if tp.O.Var == old {
-			q.Patterns[i].O = sparql.V(new)
-		}
-	}
 }
 
 // evalAux evaluates an auxiliary query (set semantics) into a relation.

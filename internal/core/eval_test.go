@@ -9,6 +9,7 @@ import (
 
 	"rdfcube/internal/agg"
 	"rdfcube/internal/algebra"
+	"rdfcube/internal/bgp"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/sparql"
 	"rdfcube/internal/store"
@@ -116,9 +117,9 @@ func TestIntermediaryVariableCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(st)
-	intQ, err := ev.Intermediary(q)
+	intQ, err := intermediary(ev, q)
 	if err != nil {
-		t.Fatalf("Intermediary with colliding variables: %v", err)
+		t.Fatalf("intermediary with colliding variables: %v", err)
 	}
 	if intQ.Len() != 1 {
 		t.Fatalf("int(Q) rows = %d, want 1", intQ.Len())
@@ -233,5 +234,63 @@ func TestSelfJoinClassifier(t *testing.T) {
 	// u2's acquaintance is 28 → 20 in the 28 cell.
 	if vals["35"] != 10 || vals["28"] != 20 {
 		t.Fatalf("self-join cube = %v", vals)
+	}
+}
+
+// intermediary computes int(Q) = c ⋈_x m̄ (Definition 3), where m̄ is the
+// set-semantics query with m's body and all of m's body variables in the
+// head. Answering never needs it; Equation 1 relates it to pres(Q).
+func intermediary(e *Evaluator, q *Query) (*algebra.Relation, error) {
+	c, err := e.EvalClassifier(q)
+	if err != nil {
+		return nil, err
+	}
+	mbar := q.Measure.Clone()
+	root := q.Root()
+	// Rename non-root measure variables that collide with classifier
+	// columns; the classifier and measure only share the root.
+	taken := map[string]bool{}
+	for _, col := range c.Cols {
+		taken[col] = true
+	}
+	for _, vname := range mbar.Vars() {
+		if vname != root && taken[vname] {
+			renameVar(mbar, vname, vname+"_m")
+		}
+	}
+	mbar.Head = mbar.Vars() // all body variables, sorted
+	// Keep the root first for readability.
+	for i, vname := range mbar.Head {
+		if vname == root && i != 0 {
+			mbar.Head[0], mbar.Head[i] = mbar.Head[i], mbar.Head[0]
+			break
+		}
+	}
+	res, err := bgp.EvalSetCtx(e.context(), e.inst, mbar)
+	if err != nil {
+		return nil, err
+	}
+	mrel := resultToRelation(res)
+	return c.Join(mrel, []string{root}, []string{root})
+}
+
+// renameVar rewrites every occurrence of variable old to new in q's body
+// and head.
+func renameVar(q *sparql.Query, old, new string) {
+	for i := range q.Head {
+		if q.Head[i] == old {
+			q.Head[i] = new
+		}
+	}
+	for i, tp := range q.Patterns {
+		if tp.S.Var == old {
+			q.Patterns[i].S = sparql.V(new)
+		}
+		if tp.P.Var == old {
+			q.Patterns[i].P = sparql.V(new)
+		}
+		if tp.O.Var == old {
+			q.Patterns[i].O = sparql.V(new)
+		}
 	}
 }

@@ -262,7 +262,7 @@ func TestEquation1Random(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		intQ, err := ev.Intermediary(q)
+		intQ, err := intermediary(ev, q)
 		if err != nil {
 			t.Fatal(err)
 		}

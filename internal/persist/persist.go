@@ -547,6 +547,35 @@ func AtomicWriteFS(fsys faultfs.FS, path string, write func(io.Writer) error) er
 	return syncDir(fsys, dir)
 }
 
+// AtomicWriteFile is AtomicWriteFS with random access to the temp file:
+// write receives the faultfs.File itself (WriteAt included) instead of
+// an io.Writer. The rename-into-place semantics are identical: path
+// holds either the old or the complete new content, never a torn mix.
+func AtomicWriteFile(fsys faultfs.FS, path string, write func(faultfs.File) error) error {
+	fsys = faultfs.OrOS(fsys)
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(fsys, dir)
+}
+
 // syncDir fsyncs a directory so a rename within it is durable.
 func syncDir(fsys faultfs.FS, dir string) error {
 	d, err := fsys.Open(dir)

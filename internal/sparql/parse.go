@@ -287,127 +287,3 @@ func isIdent(s string) bool {
 	}
 	return true
 }
-
-// ParseSelect parses the SPARQL SELECT subset:
-//
-//	PREFIX ex: <http://example.org/>
-//	SELECT ?x ?y WHERE { ?x rdf:type ex:Blogger . ?x ex:hasAge ?y }
-//
-// Supported: PREFIX headers, variable and constant positions, "a", "."
-// separators. DISTINCT is accepted and ignored (set semantics is the
-// default downstream). Unsupported constructs return an error.
-func ParseSelect(text string) (*Query, error) {
-	prefixes := DefaultPrefixes()
-	rest := strings.TrimSpace(text)
-	for {
-		lower := strings.ToLower(rest)
-		if !strings.HasPrefix(lower, "prefix") {
-			break
-		}
-		line := rest[len("prefix"):]
-		colon := strings.Index(line, ":")
-		if colon < 0 {
-			return nil, fmt.Errorf("sparql: malformed PREFIX in %q", rest)
-		}
-		name := strings.TrimSpace(line[:colon])
-		line = strings.TrimSpace(line[colon+1:])
-		if !strings.HasPrefix(line, "<") {
-			return nil, fmt.Errorf("sparql: PREFIX needs <IRI>")
-		}
-		end := strings.Index(line, ">")
-		if end < 0 {
-			return nil, fmt.Errorf("sparql: unterminated PREFIX IRI")
-		}
-		prefixes[name] = line[1:end]
-		rest = strings.TrimSpace(line[end+1:])
-	}
-	lower := strings.ToLower(rest)
-	if !strings.HasPrefix(lower, "select") {
-		return nil, fmt.Errorf("sparql: expected SELECT in %q", rest)
-	}
-	rest = strings.TrimSpace(rest[len("select"):])
-	if strings.HasPrefix(strings.ToLower(rest), "distinct") {
-		rest = strings.TrimSpace(rest[len("distinct"):])
-	}
-	whereIdx := strings.Index(strings.ToLower(rest), "where")
-	if whereIdx < 0 {
-		return nil, fmt.Errorf("sparql: missing WHERE")
-	}
-	q := &Query{Name: "q"}
-	for _, tok := range strings.Fields(rest[:whereIdx]) {
-		if !strings.HasPrefix(tok, "?") {
-			return nil, fmt.Errorf("sparql: SELECT supports only variables, got %q", tok)
-		}
-		q.Head = append(q.Head, tok[1:])
-	}
-	rest = strings.TrimSpace(rest[whereIdx+len("where"):])
-	if !strings.HasPrefix(rest, "{") || !strings.HasSuffix(rest, "}") {
-		return nil, fmt.Errorf("sparql: WHERE clause must be braced")
-	}
-	body := strings.TrimSpace(rest[1 : len(rest)-1])
-	body = strings.ReplaceAll(body, "\n", " ")
-	for _, stmt := range splitOnDots(body) {
-		stmt = strings.TrimSpace(stmt)
-		if stmt == "" {
-			continue
-		}
-		toks, err := splitTerms(stmt)
-		if err != nil {
-			return nil, err
-		}
-		if len(toks) != 3 {
-			return nil, fmt.Errorf("sparql: pattern %q must have 3 terms", stmt)
-		}
-		var tp TriplePattern
-		if tp.S, err = parseNode(toks[0], prefixes, false); err != nil {
-			return nil, err
-		}
-		if tp.P, err = parseNode(toks[1], prefixes, true); err != nil {
-			return nil, err
-		}
-		if tp.O, err = parseNode(toks[2], prefixes, false); err != nil {
-			return nil, err
-		}
-		q.Patterns = append(q.Patterns, tp)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// SplitStatements splits a SPARQL-style pattern block on "." separators,
-// ignoring dots inside quoted literals and <IRI> references. Exposed for
-// other dialect parsers (e.g. the aggregation fragment).
-func SplitStatements(body string) []string { return splitOnDots(body) }
-
-// splitOnDots splits on "." outside quotes and <...>.
-func splitOnDots(body string) []string {
-	var parts []string
-	depth := 0
-	inQuote := false
-	start := 0
-	for i := 0; i < len(body); i++ {
-		switch body[i] {
-		case '"':
-			if i == 0 || body[i-1] != '\\' {
-				inQuote = !inQuote
-			}
-		case '<':
-			if !inQuote {
-				depth++
-			}
-		case '>':
-			if !inQuote {
-				depth--
-			}
-		case '.':
-			if !inQuote && depth == 0 {
-				parts = append(parts, body[start:i])
-				start = i + 1
-			}
-		}
-	}
-	parts = append(parts, body[start:])
-	return parts
-}

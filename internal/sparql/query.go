@@ -238,30 +238,3 @@ func (q *Query) IsRooted() bool {
 	}
 	return true
 }
-
-// Substitute returns a copy of q with variable name replaced by the
-// constant term wherever it occurs in the body; the head keeps the
-// variable list minus name. Substituting a non-existent variable is a
-// no-op on the body.
-func (q *Query) Substitute(name string, t rdf.Term) *Query {
-	cp := q.Clone()
-	var head []string
-	for _, v := range cp.Head {
-		if v != name {
-			head = append(head, v)
-		}
-	}
-	cp.Head = head
-	for i, tp := range cp.Patterns {
-		if tp.S.Var == name {
-			cp.Patterns[i].S = C(t)
-		}
-		if tp.P.Var == name {
-			cp.Patterns[i].P = C(t)
-		}
-		if tp.O.Var == name {
-			cp.Patterns[i].O = C(t)
-		}
-	}
-	return cp
-}

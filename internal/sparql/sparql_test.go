@@ -113,71 +113,6 @@ func TestParseDatalogErrors(t *testing.T) {
 	}
 }
 
-func TestParseSelect(t *testing.T) {
-	q, err := ParseSelect(`
-		PREFIX ex: <http://example.com/>
-		SELECT ?x ?age WHERE { ?x rdf:type ex:Blogger . ?x ex:hasAge ?age }`)
-	if err != nil {
-		t.Fatalf("ParseSelect: %v", err)
-	}
-	if len(q.Head) != 2 || q.Head[0] != "x" || q.Head[1] != "age" {
-		t.Errorf("Head = %v", q.Head)
-	}
-	if len(q.Patterns) != 2 {
-		t.Errorf("%d patterns, want 2", len(q.Patterns))
-	}
-	if q.Patterns[1].P.Term != rdf.NewIRI("http://example.com/hasAge") {
-		t.Errorf("predicate = %v", q.Patterns[1].P)
-	}
-}
-
-func TestParseSelectDistinct(t *testing.T) {
-	q, err := ParseSelect(`SELECT DISTINCT ?x WHERE { ?x rdf:type <http://e/C> }`)
-	if err != nil {
-		t.Fatalf("ParseSelect: %v", err)
-	}
-	if len(q.Head) != 1 {
-		t.Errorf("Head = %v", q.Head)
-	}
-}
-
-func TestParseSelectErrors(t *testing.T) {
-	bad := []string{
-		`SELECT ?x { ?x rdf:type <http://e/C> }`,           // missing WHERE
-		`SELECT x WHERE { ?x rdf:type <http://e/C> }`,      // non-var in SELECT
-		`SELECT ?x WHERE ?x rdf:type <http://e/C>`,         // unbraced
-		`SELECT ?y WHERE { ?x rdf:type <http://e/C> }`,     // unbound head
-		`PREFIX broken SELECT ?x WHERE { ?x rdf:type ?y }`, // malformed prefix
-	}
-	for _, text := range bad {
-		if _, err := ParseSelect(text); err == nil {
-			t.Errorf("accepted malformed SELECT %q", text)
-		}
-	}
-}
-
-func TestDatalogAndSelectAgree(t *testing.T) {
-	d, err := ParseDatalog("q(x, y) :- x ex:p y, y rdf:type ex:C", testPrefixes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := ParseSelect(`PREFIX ex: <http://example.com/>
-		SELECT ?x ?y WHERE { ?x ex:p ?y . ?y rdf:type ex:C }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Patterns) != len(s.Patterns) {
-		t.Fatalf("pattern counts differ: %d vs %d", len(d.Patterns), len(s.Patterns))
-	}
-	for i := range d.Patterns {
-		if !d.Patterns[i].S.Equal(s.Patterns[i].S) ||
-			!d.Patterns[i].P.Equal(s.Patterns[i].P) ||
-			!d.Patterns[i].O.Equal(s.Patterns[i].O) {
-			t.Errorf("pattern %d differs: %v vs %v", i, d.Patterns[i], s.Patterns[i])
-		}
-	}
-}
-
 func TestIsRooted(t *testing.T) {
 	cases := []struct {
 		text string
@@ -196,27 +131,6 @@ func TestIsRooted(t *testing.T) {
 		if got := q.IsRooted(); got != c.want {
 			t.Errorf("IsRooted(%q) = %v, want %v", c.text, got, c.want)
 		}
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	q, err := ParseDatalog("q(x, d) :- x ex:p d, x ex:q d", testPrefixes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := rdf.NewInt(5)
-	sub := q.Substitute("d", v)
-	if len(sub.Head) != 1 || sub.Head[0] != "x" {
-		t.Errorf("head after substitute = %v", sub.Head)
-	}
-	for _, tp := range sub.Patterns {
-		if tp.O.IsVar() || tp.O.Term != v {
-			t.Errorf("object not substituted: %v", tp)
-		}
-	}
-	// Original untouched.
-	if q.Patterns[0].O.Var != "d" {
-		t.Error("Substitute mutated the original query")
 	}
 }
 

@@ -137,20 +137,6 @@ func (c *column) gallop(lo, hi int, v dict.ID) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return c.at(lo+i) >= v })
 }
 
-// appendTo appends values [lo, hi) to out.
-func (c *column) appendTo(out []dict.ID, lo, hi int) []dict.ID {
-	if c.arr != nil {
-		return append(out, c.arr[lo:hi]...)
-	}
-	for i := lo; i < hi; {
-		vals, base := c.block(i)
-		end := min(hi, base+len(vals))
-		out = append(out, vals[i-base:end-base]...)
-		i = end
-	}
-	return out
-}
-
 // copyRange copies values [lo, hi) into dst (len(dst) == hi-lo).
 func (c *column) copyRange(dst []dict.ID, lo, hi int) {
 	if c.arr != nil {

@@ -150,11 +150,11 @@ func checkAgainstRef(t *testing.T, label string, st *Store, ref refStore, pats [
 		if !triplesEqual(each, want) {
 			t.Fatalf("%s pattern %+v: ForEach differs\n store: %v\n ref:   %v", label, pat, each, want)
 		}
-		subj, wantS := st.Subjects(pat.P, pat.O), ref.distinct(Pattern{P: pat.P, O: pat.O}, subjectOf)
+		subj, wantS := subjects(st, pat.P, pat.O), ref.distinct(Pattern{P: pat.P, O: pat.O}, subjectOf)
 		if !idsEqual(subj, wantS) {
 			t.Fatalf("%s pattern %+v: Subjects differ\n store: %v\n ref:   %v", label, pat, subj, wantS)
 		}
-		obj, wantO := st.Objects(pat.S, pat.P), ref.distinct(Pattern{S: pat.S, P: pat.P}, objectOf)
+		obj, wantO := objects(st, pat.S, pat.P), ref.distinct(Pattern{S: pat.S, P: pat.P}, objectOf)
 		if !idsEqual(obj, wantO) {
 			t.Fatalf("%s pattern %+v: Objects differ\n store: %v\n ref:   %v", label, pat, obj, wantO)
 		}

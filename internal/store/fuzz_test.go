@@ -72,8 +72,8 @@ func FuzzOpenFrozenSnapshot(f *testing.F) {
 				if st.Count(Pattern{S: tr.S}) < 1 || !st.ContainsID(tr) {
 					t.Fatal("accepted store disagrees with itself")
 				}
-				st.Subjects(tr.P, Wild)
-				st.Objects(tr.S, Wild)
+				subjects(st, tr.P, Wild)
+				objects(st, tr.S, Wild)
 			}
 			n++
 			return n < 100

@@ -548,66 +548,3 @@ func distinctRuns(out []dict.ID, col []dict.ID, lo, hi int) []dict.ID {
 	}
 	return out
 }
-
-// sortDedup sorts ids in place and removes adjacent duplicates.
-func sortDedup(ids []dict.ID) []dict.ID {
-	if len(ids) < 2 {
-		return ids
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w := 1
-	for i := 1; i < len(ids); i++ {
-		if ids[i] != ids[i-1] {
-			ids[w] = ids[i]
-			w++
-		}
-	}
-	return ids[:w]
-}
-
-// subjects is the frozen implementation of Store.Subjects.
-func (f *frozen) subjects(p, o dict.ID) []dict.ID {
-	pB, oB := p != Wild, o != Wild
-	switch {
-	case pB && oB:
-		// POS run (p, o): c3 holds the subjects, sorted and distinct.
-		lo, hi := f.pos.keyRange(p)
-		lo, hi = f.pos.pairRange(lo, hi, o)
-		return f.pos.c3.appendTo(make([]dict.ID, 0, hi-lo), lo, hi)
-	case pB:
-		// POS run p: subjects repeat across object runs; gather and
-		// sort-dedup (one allocation, no map).
-		lo, hi := f.pos.keyRange(p)
-		return sortDedup(f.pos.c3.appendTo(make([]dict.ID, 0, hi-lo), lo, hi))
-	case oB:
-		// OSP run o: c2 holds the subjects, sorted with duplicates.
-		lo, hi := f.osp.keyRange(o)
-		return f.osp.c2.distinctTo(nil, lo, hi)
-	default:
-		// All distinct subjects: the SPO directory keys.
-		return append(make([]dict.ID, 0, len(f.spo.keys)), f.spo.keys...)
-	}
-}
-
-// objects is the frozen implementation of Store.Objects.
-func (f *frozen) objects(s, p dict.ID) []dict.ID {
-	sB, pB := s != Wild, p != Wild
-	switch {
-	case sB && pB:
-		// SPO run (s, p): c3 holds the objects, sorted and distinct.
-		lo, hi := f.spo.keyRange(s)
-		lo, hi = f.spo.pairRange(lo, hi, p)
-		return f.spo.c3.appendTo(make([]dict.ID, 0, hi-lo), lo, hi)
-	case sB:
-		// SPO run s: objects sorted only within each predicate run.
-		lo, hi := f.spo.keyRange(s)
-		return sortDedup(f.spo.c3.appendTo(make([]dict.ID, 0, hi-lo), lo, hi))
-	case pB:
-		// POS run p: c2 holds the objects, sorted with duplicates.
-		lo, hi := f.pos.keyRange(p)
-		return f.pos.c2.distinctTo(nil, lo, hi)
-	default:
-		// All distinct objects: the OSP directory keys.
-		return append(make([]dict.ID, 0, len(f.osp.keys)), f.osp.keys...)
-	}
-}

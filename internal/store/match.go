@@ -29,42 +29,10 @@ func (st *Store) ForEach(pat Pattern, fn func(t IDTriple) bool) {
 	}
 }
 
-// PatternColumns exposes the triples matching pat as three parallel
-// column slices in (S, P, O) orientation — direct, zero-copy views into
-// the frozen permutation the pattern resolves to, in that permutation's
-// sorted order (the same order ForEach visits). It reports ok = false
-// when a delta overlay is pending (the merged view is not contiguous), or the base is mmap-backed (there are no
-// materialized arrays to alias — use PatternColumnRange, which fills
-// caller buffers block-wise, instead); callers then fall back to
-// ForEach. The batch engine's seed scans bulk-copy from these slices.
-func (st *Store) PatternColumns(pat Pattern) (s, p, o []dict.ID, ok bool) {
-	if st.dlt.len() > 0 {
-		return nil, nil, nil, false
-	}
-	px, lo, hi := st.frz.patternRange(pat)
-	a1, a2, a3 := px.c1.arr, px.c2.arr, px.c3.arr
-	if a1 == nil && px.len() > 0 {
-		return nil, nil, nil, false
-	}
-	c1, c2, c3 := a1[lo:hi], a2[lo:hi], a3[lo:hi]
-	switch px.kind {
-	case permPOS:
-		return c3, c1, c2, true
-	case permOSP:
-		return c2, c3, c1, true
-	case permPSO:
-		return c2, c1, c3, true
-	default:
-		return c1, c2, c3, true
-	}
-}
-
 // ColumnRange is a window onto the triples matching one pattern on a
-// store with no pending delta — the copying counterpart of
-// PatternColumns for bases whose columns are not materialized in heap
-// (the mmap-backed read path). Fill decodes into caller buffers
+// store with no pending delta. Fill decodes into caller buffers
 // block-at-a-time, so the batch engine's seed scans stay bulk
-// operations on either backing.
+// operations on either backing (heap arrays or the mmap-backed blocks).
 type ColumnRange struct {
 	px     *permIndex
 	lo, hi int
@@ -111,9 +79,9 @@ func (cr *ColumnRange) Fill(off int, s, p, o []dict.ID) int {
 	return n
 }
 
-// PatternColumnRange resolves pat to a fillable column range. Like
-// PatternColumns it reports ok = false when a delta overlay is pending;
-// unlike it, it works over mapped bases.
+// PatternColumnRange resolves pat to a fillable column range. It
+// reports ok = false when a delta overlay is pending (the merged view is
+// not contiguous); callers then fall back to ForEach.
 func (st *Store) PatternColumnRange(pat Pattern) (ColumnRange, bool) {
 	if st.dlt.len() > 0 {
 		return ColumnRange{}, false
@@ -152,39 +120,4 @@ func (st *Store) Count(pat Pattern) int {
 		n += st.dlt.count(pat)
 	}
 	return n
-}
-
-// Subjects returns the distinct subject IDs of triples with predicate p
-// and object o (either may be Wild), ascending: a sorted-run walk with
-// no intermediate map.
-func (st *Store) Subjects(p, o dict.ID) []dict.ID {
-	base := st.frz.subjects(p, o)
-	if st.dlt.len() == 0 {
-		return base
-	}
-	ds := st.dlt.spans(Pattern{P: p, O: o})
-	for i := ds.rlo; i < ds.rhi; i++ {
-		base = append(base, ds.run[i].S)
-	}
-	for i := ds.mlo; i < ds.mhi; i++ {
-		base = append(base, ds.mem[i].S)
-	}
-	return sortDedup(base)
-}
-
-// Objects returns the distinct object IDs of triples with subject s and
-// predicate p (either may be Wild), ascending.
-func (st *Store) Objects(s, p dict.ID) []dict.ID {
-	base := st.frz.objects(s, p)
-	if st.dlt.len() == 0 {
-		return base
-	}
-	ds := st.dlt.spans(Pattern{S: s, P: p})
-	for i := ds.rlo; i < ds.rhi; i++ {
-		base = append(base, ds.run[i].O)
-	}
-	for i := ds.mlo; i < ds.mhi; i++ {
-		base = append(base, ds.mem[i].O)
-	}
-	return sortDedup(base)
 }

@@ -3,7 +3,7 @@ package store
 // Tests of the fourth (PSO) permutation: construction at Freeze time,
 // the predicate-keyed subject cursor over frozen and frozen+delta
 // stores, snapshot roundtrip, the rebuild fallback for snapshots that
-// predate the section, and the zero-copy PatternColumns views the batch
+// predate the section, and the PatternColumnRange windows the batch
 // engine's seed scans bulk-copy from.
 
 import (
@@ -203,10 +203,10 @@ func collectPSO(st *Store, p dict.ID) []IDTriple {
 	return out
 }
 
-// TestPatternColumns: the zero-copy column views must agree with
-// ForEach on every shape of a frozen store, and must refuse stores
-// with a pending overlay or no frozen base.
-func TestPatternColumns(t *testing.T) {
+// TestPatternColumnRange: Fill must agree with ForEach on every shape
+// of a frozen store, at any offset and buffer size, and the range must
+// be refused on a store with a pending overlay.
+func TestPatternColumnRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	fo, wd := cursorStores(rng, 300)
 	for _, pat := range randomPatterns(rng) {
@@ -215,23 +215,31 @@ func TestPatternColumns(t *testing.T) {
 			want = append(want, tr)
 			return true
 		})
-		s, p, o, ok := fo.PatternColumns(pat)
+		cr, ok := fo.PatternColumnRange(pat)
 		if !ok {
-			t.Fatalf("pattern %+v: PatternColumns refused a frozen store", pat)
+			t.Fatalf("pattern %+v: PatternColumnRange refused a frozen store", pat)
 		}
-		if len(s) != len(want) || len(p) != len(want) || len(o) != len(want) {
-			t.Fatalf("pattern %+v: %d/%d/%d columns, want %d", pat, len(s), len(p), len(o), len(want))
+		if cr.Len() != len(want) {
+			t.Fatalf("pattern %+v: range of %d rows, want %d", pat, cr.Len(), len(want))
 		}
-		for i, tr := range want {
-			if s[i] != tr.S || p[i] != tr.P || o[i] != tr.O {
-				t.Fatalf("pattern %+v row %d: (%d %d %d), want %+v", pat, i, s[i], p[i], o[i], tr)
+		chunk := 1 + rng.Intn(17)
+		s, p, o := make([]dict.ID, chunk), make([]dict.ID, chunk), make([]dict.ID, chunk)
+		for off := 0; off < len(want); off += chunk {
+			n := cr.Fill(off, s, p, o)
+			if n != min(chunk, len(want)-off) {
+				t.Fatalf("pattern %+v: Fill(%d) copied %d rows", pat, off, n)
+			}
+			for i, tr := range want[off : off+n] {
+				if s[i] != tr.S || p[i] != tr.P || o[i] != tr.O {
+					t.Fatalf("pattern %+v row %d: (%d %d %d), want %+v", pat, off+i, s[i], p[i], o[i], tr)
+				}
 			}
 		}
 	}
-	if _, _, _, ok := wd.PatternColumns(Pattern{}); ok {
-		t.Fatal("PatternColumns must refuse a store with a pending delta overlay")
+	if _, ok := wd.PatternColumnRange(Pattern{}); ok {
+		t.Fatal("PatternColumnRange must refuse a store with a pending delta overlay")
 	}
-	if s, _, _, ok := New().PatternColumns(Pattern{}); !ok || len(s) != 0 {
-		t.Fatal("PatternColumns must serve an empty store as zero rows")
+	if cr, ok := New().PatternColumnRange(Pattern{}); !ok || cr.Len() != 0 {
+		t.Fatal("PatternColumnRange must serve an empty store as zero rows")
 	}
 }

@@ -45,16 +45,13 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 		}
 	}
 	writeUvarint(bw, uint64(st.Len()))
-	var err error
 	st.ForEach(Pattern{}, func(t IDTriple) bool {
 		writeUvarint(bw, uint64(t.S))
 		writeUvarint(bw, uint64(t.P))
 		writeUvarint(bw, uint64(t.O))
 		return true
 	})
-	if err != nil {
-		return err
-	}
+	// bufio.Writer latches the first write error; Flush reports it.
 	return bw.Flush()
 }
 

@@ -83,11 +83,11 @@ func TestOpenFrozenSnapshotMappedDifferential(t *testing.T) {
 
 	// The eight shapes again through cursors and the aggregates.
 	for _, pat := range allPatterns(heap) {
-		hs, ms := heap.Subjects(pat.P, pat.O), mapped.Subjects(pat.P, pat.O)
+		hs, ms := subjects(heap, pat.P, pat.O), subjects(mapped, pat.P, pat.O)
 		if fmt.Sprint(hs) != fmt.Sprint(ms) {
 			t.Fatalf("pattern %+v: Subjects %v vs %v", pat, hs, ms)
 		}
-		ho, mo := heap.Objects(pat.S, pat.P), mapped.Objects(pat.S, pat.P)
+		ho, mo := objects(heap, pat.S, pat.P), objects(mapped, pat.S, pat.P)
 		if fmt.Sprint(ho) != fmt.Sprint(mo) {
 			t.Fatalf("pattern %+v: Objects %v vs %v", pat, ho, mo)
 		}

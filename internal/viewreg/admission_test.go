@@ -142,14 +142,14 @@ func TestCostEvictionBenefitPerByte(t *testing.T) {
 	mid := add(2, 1_000, 1_000_000, 0)
 	dud := add(3, 1<<20, 10, 0) // huge, trivially rebuilt, never hit — and MRU
 
-	r.SetMaxEntries(2)
+	r.SetLimits(2, 0)
 	if dud.elem != nil {
 		t.Fatal("cost eviction kept the lowest benefit-per-byte entry")
 	}
 	if hot.elem == nil || mid.elem == nil {
 		t.Fatal("cost eviction dropped a higher-benefit entry")
 	}
-	r.SetMaxEntries(1)
+	r.SetLimits(1, 0)
 	if mid.elem != nil || hot.elem == nil {
 		t.Fatal("second eviction did not keep the highest-benefit entry")
 	}
@@ -168,7 +168,7 @@ func TestCostEvictionBenefitPerByte(t *testing.T) {
 		lr.mu.Unlock()
 		es = append(es, e)
 	}
-	lr.SetMaxEntries(2)
+	lr.SetLimits(2, 0)
 	if es[0].elem != nil || es[1].elem == nil || es[2].elem == nil {
 		t.Fatal("LRU mode did not evict the oldest entry")
 	}

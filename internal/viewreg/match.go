@@ -1,8 +1,8 @@
 package viewreg
 
-// Syntactic rewriting detection, generalized from internal/session: given
-// a materialized query Q and a candidate query Q_T, decide which of the
-// paper's rewritings (Propositions 1-3) answers Q_T from pres(Q)/ans(Q).
+// Syntactic rewriting detection: given a materialized query Q and a
+// candidate query Q_T, decide which of the paper's rewritings
+// (Propositions 1-3) answers Q_T from pres(Q)/ans(Q).
 // Detection is purely syntactic — classifier/measure bodies must match
 // pattern for pattern (order-insensitive) with identical variable names,
 // the aggregation function must be identical, and Σ must relate by

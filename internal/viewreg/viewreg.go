@@ -110,8 +110,7 @@ type Config struct {
 	// least-recently-used entries are evicted past it. An entry larger
 	// than the whole budget is not retained at all.
 	MaxBytes int64
-	// MaxEntries additionally caps the entry count (the legacy
-	// session-manager bound).
+	// MaxEntries additionally caps the entry count.
 	MaxEntries int
 	// Metrics, when non-nil, receives the registry's process-wide
 	// counters (answers by strategy, evictions, maintenance, ...).
@@ -339,18 +338,6 @@ func (r *Registry) SetLimits(maxEntries int, maxBytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.maxEntries, r.maxBytes = maxEntries, maxBytes
-	r.evictLocked()
-}
-
-// SetMaxEntries adjusts only the entry-count budget, leaving any byte
-// budget in place.
-func (r *Registry) SetMaxEntries(maxEntries int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.maxEntries == maxEntries {
-		return
-	}
-	r.maxEntries = maxEntries
 	r.evictLocked()
 }
 
@@ -891,7 +878,6 @@ func (r *Registry) recordMissLocked(key uint64, epoch uint64) {
 
 // tryRewrite attempts to answer q from a registered query's materialized
 // pres/ans snapshots. A nil cube with nil error means "not applicable".
-// The semantics mirror the original session manager's detection exactly.
 func (r *Registry) tryRewrite(eq *core.Query, q *core.Query, pres, ans *algebra.Relation) (Strategy, *algebra.Relation, error) {
 	if !sameMeasure(eq, q) || eq.Agg.Name() != q.Agg.Name() {
 		return "", nil, nil

@@ -6,9 +6,8 @@
 //
 //   - an in-memory, dictionary-encoded RDF triple store with N-Triples /
 //     Turtle-lite I/O and RDFS saturation;
-//   - conjunctive (BGP) queries in both the paper's datalog-style syntax
-//     and a SPARQL SELECT subset, evaluated with statistics-driven join
-//     ordering;
+//   - conjunctive (BGP) queries in the paper's datalog-style syntax,
+//     evaluated with statistics-driven join ordering;
 //   - analytical schemas (AnS): lenses whose node and edge queries
 //     restructure a base graph into an analysis-ready instance;
 //   - analytical queries (AnQ): ⟨classifier, measure, ⊕⟩ cubes over an
@@ -17,7 +16,10 @@
 //   - the four OLAP operations (SLICE, DICE, DRILL-OUT, DRILL-IN) as
 //     query transformations, and the paper's view-based rewriting
 //     algorithms that answer a transformed cube from the materialized
-//     partial result pres(Q) or answer ans(Q) of the original query.
+//     partial result pres(Q) or answer ans(Q) of the original query;
+//   - a Session (the view registry) that applies those rewritings on its
+//     own: it answers each query by the cheapest applicable strategy and
+//     keeps its materialized views maintained across instance writes.
 //
 // # Quick start
 //
@@ -45,10 +47,9 @@ import (
 	"rdfcube/internal/nt"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/rdfs"
-	"rdfcube/internal/session"
 	"rdfcube/internal/sparql"
-	"rdfcube/internal/sparqlagg"
 	"rdfcube/internal/store"
+	"rdfcube/internal/viewreg"
 )
 
 // Re-exported data-model types.
@@ -168,9 +169,6 @@ func ParseQuery(text string, prefixes Prefixes) (*BGPQuery, error) {
 	return sparql.ParseDatalog(text, prefixes)
 }
 
-// ParseSelect parses a SPARQL SELECT subset query.
-func ParseSelect(text string) (*BGPQuery, error) { return sparql.ParseSelect(text) }
-
 // ParseTerm parses a constant RDF term in the datalog surface syntax
 // (<IRI>, prefixed:name, quoted literal, integer, float, _:blank).
 func ParseTerm(text string, prefixes Prefixes) (Term, error) {
@@ -219,16 +217,22 @@ func CubesEqual(a, b *Cube) bool { return algebra.Equal(a, b) }
 // automatically detecting when a new query is a SLICE/DICE/DRILL-OUT/
 // DRILL-IN of a previously materialized one and applying the paper's
 // rewriting instead of re-evaluating (the problem statement of Figure 2).
+// It is the view registry rdfcubed serves from, so it is safe for
+// concurrent use. To write to its instance, call Instance().Add and
+// then NotifyWrite, in one critical section that no Answer runs
+// beside: the registered views are maintained through the write
+// rather than dropped.
 type (
-	// Session is a materialized-cube manager over one AnS instance.
-	Session = session.Manager
+	// Session is a materialized-view registry over one AnS instance.
+	Session = viewreg.Registry
 	// Strategy names how a Session answered a query ("cached",
 	// "dice-rewrite", "drillout-rewrite", "drillin-rewrite", "direct").
-	Strategy = session.Strategy
+	Strategy = viewreg.Strategy
 )
 
-// NewSession returns a session manager over the AnS instance inst.
-func NewSession(inst *Graph) *Session { return session.NewManager(inst) }
+// NewSession returns an unbounded session over the AnS instance inst;
+// SetLimits bounds it.
+func NewSession(inst *Graph) *Session { return viewreg.New(inst, viewreg.Config{}) }
 
 // MaintainedPres is a pres(Q) materialization that absorbs instance
 // insertions incrementally (Δ-rules over Definition 4), keeping the
@@ -240,20 +244,6 @@ type MaintainedPres = incr.MaintainedPres
 func NewMaintainedPres(ev *Evaluator, q *Query) (*MaintainedPres, error) {
 	return incr.New(ev, q)
 }
-
-// AggSelect is a parsed SPARQL 1.1 aggregate SELECT query — the
-// restricted analytical dialect the paper's related work positions AnQs
-// against (single BGP shared by grouping and aggregation).
-type AggSelect = sparqlagg.Query
-
-// ParseAggSelect parses a SPARQL aggregate SELECT, e.g.
-//
-//	SELECT ?age (COUNT(?site) AS ?n) WHERE { ... } GROUP BY ?age
-func ParseAggSelect(text string) (*AggSelect, error) { return sparqlagg.Parse(text) }
-
-// EvalAggSelect answers a SPARQL aggregate query over g with SPARQL 1.1
-// group/aggregate semantics.
-func EvalAggSelect(g *Graph, q *AggSelect) (*Cube, error) { return sparqlagg.Eval(g, q) }
 
 // ExportOptions controls cube rendering (dictionary, prefix
 // abbreviation, sorting).

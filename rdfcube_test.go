@@ -3,6 +3,7 @@ package rdfcube_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -136,23 +137,6 @@ func TestPublicOLAPOps(t *testing.T) {
 	}
 }
 
-func TestPublicSelectSyntax(t *testing.T) {
-	g := loadSample(t)
-	q, err := rdfcube.ParseSelect(`
-		PREFIX : <http://example.org/>
-		SELECT ?x WHERE { ?x rdf:type :Blogger }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rdfcube.EvalBGP(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 2 {
-		t.Errorf("SELECT found %d bloggers, want 2", res.Len())
-	}
-}
-
 func TestPublicWriteNTriples(t *testing.T) {
 	g := loadSample(t)
 	var buf bytes.Buffer
@@ -203,5 +187,186 @@ func TestReadNTriplesBulkLoads(t *testing.T) {
 	}
 	if v := g.Version(); v.Base != 1 || v.Seq != 0 {
 		t.Errorf("ReadNTriples left version %+v, want one base rebuild", v)
+	}
+}
+
+var rdfType = rdfcube.NewIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+
+func sessionIRI(s string) rdfcube.Term { return rdfcube.NewIRI(ns + s) }
+
+// sessionInstance builds a small frozen instance with multi-valued
+// facts: two dimensions (dim0, and hub labels reached through :at), a
+// drill-in-able hub tag, and integer scores.
+func sessionInstance(seed int64, facts int) *rdfcube.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := rdfcube.NewGraph()
+	add := func(s, p, o rdfcube.Term) { g.Add(rdfcube.NewTriple(s, p, o)) }
+	for h := 0; h < 5; h++ {
+		hub := sessionIRI(fmt.Sprintf("hub%d", h))
+		add(hub, sessionIRI("label"), rdfcube.NewInt(int64(h)))
+		add(hub, sessionIRI("tag"), sessionIRI(fmt.Sprintf("tag%d", h%3)))
+	}
+	for f := 0; f < facts; f++ {
+		x := sessionIRI(fmt.Sprintf("fact%d", f))
+		add(x, rdfType, sessionIRI("Fact"))
+		add(x, sessionIRI("dim0"), rdfcube.NewInt(int64(rng.Intn(4))))
+		if rng.Float64() < 0.3 {
+			add(x, sessionIRI("dim0"), rdfcube.NewInt(int64(4+rng.Intn(2))))
+		}
+		add(x, sessionIRI("at"), sessionIRI(fmt.Sprintf("hub%d", rng.Intn(5))))
+		add(x, sessionIRI("score"), rdfcube.NewInt(int64(1+rng.Intn(9))))
+	}
+	g.Freeze()
+	return g
+}
+
+// sessionQuery classifies facts by dim0 (d0) and hub label (d1); the
+// hub tag d2 stays existential, the drill-in target.
+func sessionQuery(t *testing.T, f rdfcube.AggFunc, measure string) *rdfcube.Query {
+	t.Helper()
+	c, err := rdfcube.ParseQuery(
+		"c(x, d0, d1) :- x rdf:type :Fact, x :dim0 d0, x :at h, h :label d1, h :tag d2", samplePrefixes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rdfcube.ParseQuery(measure, samplePrefixes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := rdfcube.NewQuery(c, m, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+const scoreMeasure = "m(x, v) :- x rdf:type :Fact, x :score v"
+
+// answerChecked asks sess for q, requires strategy want, and checks the
+// cube against a direct evaluation of q.
+func answerChecked(t *testing.T, sess *rdfcube.Session, q *rdfcube.Query, want rdfcube.Strategy, label string) {
+	t.Helper()
+	cube, got, err := sess.Answer(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if got != want {
+		t.Fatalf("%s: strategy = %s, want %s", label, got, want)
+	}
+	direct, err := sess.Evaluator().Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rdfcube.CubesEqual(direct, cube.Project(direct.Cols...)) {
+		t.Fatalf("%s: %s answered a wrong cube\n got: %v\nwant: %v", label, got, cube.Rows, direct.Rows)
+	}
+}
+
+// opChecker returns a wrapper that unpacks an OLAP operation's result,
+// failing t on error.
+func opChecker(t *testing.T) func(*rdfcube.Query, error) *rdfcube.Query {
+	return func(q *rdfcube.Query, err error) *rdfcube.Query {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+}
+
+// TestPublicSessionStrategies drives one analyst session through every
+// strategy, then writes to the instance through the session's write
+// contract (Instance().Add, then NotifyWrite): the registered view is
+// maintained at the write, not re-evaluated at the next ask.
+func TestPublicSessionStrategies(t *testing.T) {
+	mustOp := opChecker(t)
+	sess := rdfcube.NewSession(sessionInstance(11, 100))
+	base := sessionQuery(t, rdfcube.Sum, scoreMeasure)
+
+	answerChecked(t, sess, base, "direct", "base")
+	answerChecked(t, sess, base.Clone(), "cached", "base again")
+	if got := sess.Entries(); got != 1 {
+		t.Fatalf("Entries = %d after a cached hit, want 1", got)
+	}
+	answerChecked(t, sess, mustOp(rdfcube.SliceOp(base, "d0", rdfcube.NewInt(2))), "dice-rewrite", "slice")
+	answerChecked(t, sess, mustOp(rdfcube.DiceOp(base, map[string][]rdfcube.Term{
+		"d0": {rdfcube.NewInt(1), rdfcube.NewInt(2)},
+		"d1": {rdfcube.NewInt(0), rdfcube.NewInt(3)},
+	})), "dice-rewrite", "dice")
+	d1 := mustOp(rdfcube.DiceOp(base, map[string][]rdfcube.Term{"d0": {rdfcube.NewInt(1), rdfcube.NewInt(2)}}))
+	answerChecked(t, sess, d1, "dice-rewrite", "dice")
+	answerChecked(t, sess, mustOp(rdfcube.DiceOp(d1, map[string][]rdfcube.Term{"d0": {rdfcube.NewInt(1)}})),
+		"dice-rewrite", "dice of dice")
+	answerChecked(t, sess, mustOp(rdfcube.DrillOutOp(base, "d1")), "drillout-rewrite", "drill-out")
+	answerChecked(t, sess, mustOp(rdfcube.DrillInOp(base, "d2")), "drillin-rewrite", "drill-in")
+	answerChecked(t, sess, base.Clone(), "cached", "base last")
+	if got := sess.Stats().ByStrategy["direct"]; got != 1 {
+		t.Fatalf("direct evaluations = %d, want 1: %v", got, sess.Stats().ByStrategy)
+	}
+
+	x := sessionIRI("newfact")
+	inst := sess.Instance()
+	for _, tr := range []rdfcube.Triple{
+		rdfcube.NewTriple(x, rdfType, sessionIRI("Fact")),
+		rdfcube.NewTriple(x, sessionIRI("dim0"), rdfcube.NewInt(1)),
+		rdfcube.NewTriple(x, sessionIRI("at"), sessionIRI("hub2")),
+		rdfcube.NewTriple(x, sessionIRI("score"), rdfcube.NewInt(700)),
+	} {
+		if !inst.Add(tr) {
+			t.Fatalf("Add(%v) reported a duplicate", tr)
+		}
+	}
+	sess.NotifyWrite()
+	if got := sess.Stats().Maintained; got == 0 {
+		t.Fatal("NotifyWrite did not maintain the registered view")
+	}
+	answerChecked(t, sess, base.Clone(), "cached", "base after write")
+	answerChecked(t, sess, mustOp(rdfcube.DrillOutOp(base, "d0")), "drillout-rewrite", "drill-out after write")
+	if got := sess.Stats().ByStrategy["direct"]; got != 1 {
+		t.Errorf("direct evaluations = %d after the write, want 1", got)
+	}
+}
+
+// TestPublicSessionNoReuse: queries that no materialized result can
+// answer are evaluated directly, and an invalid query is an error.
+func TestPublicSessionNoReuse(t *testing.T) {
+	mustOp := opChecker(t)
+	base := sessionQuery(t, rdfcube.Sum, scoreMeasure)
+
+	// A restricted ans(Q) cannot answer the unrestricted cube.
+	sess := rdfcube.NewSession(sessionInstance(6, 60))
+	answerChecked(t, sess, mustOp(rdfcube.SliceOp(base, "d0", rdfcube.NewInt(1))), "direct", "slice first")
+	answerChecked(t, sess, base, "direct", "relaxed")
+
+	// Dropping a Σ-restricted dimension cannot reuse the filtered pres.
+	sess = rdfcube.NewSession(sessionInstance(8, 80))
+	sliced := mustOp(rdfcube.SliceOp(base, "d1", rdfcube.NewInt(2)))
+	answerChecked(t, sess, sliced, "direct", "slice on d1")
+	answerChecked(t, sess, mustOp(rdfcube.DrillOutOp(sliced, "d1")), "direct", "drill out the sliced dimension")
+
+	// Another aggregation function or measure body shares nothing.
+	sess = rdfcube.NewSession(sessionInstance(10, 50))
+	answerChecked(t, sess, base, "direct", "sum")
+	answerChecked(t, sess, sessionQuery(t, rdfcube.Avg, scoreMeasure), "direct", "avg")
+	answerChecked(t, sess, sessionQuery(t, rdfcube.Sum, "m(x, v) :- x rdf:type :Fact, x :dim0 v"), "direct", "other measure")
+
+	if _, _, err := sess.Answer(&rdfcube.Query{}); err == nil {
+		t.Error("invalid query accepted")
+	}
+}
+
+// TestPublicSessionLimits: SetLimits bounds the registered views; past
+// the entry budget the least recently used are evicted.
+func TestPublicSessionLimits(t *testing.T) {
+	mustOp := opChecker(t)
+	sess := rdfcube.NewSession(sessionInstance(12, 40))
+	sess.SetLimits(2, 0)
+	base := sessionQuery(t, rdfcube.Sum, scoreMeasure)
+	for i := 0; i < 4; i++ {
+		// Distinct singleton slices refine none of each other.
+		answerChecked(t, sess, mustOp(rdfcube.SliceOp(base, "d1", rdfcube.NewInt(int64(i)))), "direct", fmt.Sprintf("slice %d", i))
+	}
+	if got := sess.Entries(); got != 2 {
+		t.Errorf("Entries = %d, want 2 after eviction", got)
 	}
 }
