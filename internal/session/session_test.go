@@ -12,6 +12,7 @@ import (
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/sparql"
 	"rdfcube/internal/store"
+	"rdfcube/internal/viewreg"
 )
 
 const ns = "http://e.org/"
@@ -62,7 +63,11 @@ func query(t *testing.T, f agg.Func) *core.Query {
 	return q
 }
 
-func answerBoth(t *testing.T, m *Manager, q *core.Query, wantStrategy Strategy) *algebra.Relation {
+// newSession returns an unbounded session over inst, as
+// rdfcube.NewSession does.
+func newSession(inst *store.Store) *viewreg.Registry { return viewreg.New(inst, viewreg.Config{}) }
+
+func answerBoth(t *testing.T, m *viewreg.Registry, q *core.Query, wantStrategy viewreg.Strategy) *algebra.Relation {
 	t.Helper()
 	cube, strategy, err := m.Answer(q)
 	if err != nil {
@@ -85,39 +90,39 @@ func answerBoth(t *testing.T, m *Manager, q *core.Query, wantStrategy Strategy) 
 }
 
 func TestFirstAnswerIsDirect(t *testing.T) {
-	m := NewManager(instance(1, 50))
+	m := newSession(instance(1, 50))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	if m.Entries() != 1 {
 		t.Errorf("Entries = %d, want 1", m.Entries())
 	}
 }
 
 func TestIdenticalQueryCached(t *testing.T) {
-	m := NewManager(instance(2, 50))
+	m := newSession(instance(2, 50))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
-	answerBoth(t, m, q.Clone(), StrategyCached)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
+	answerBoth(t, m, q.Clone(), viewreg.StrategyCached)
 	if m.Entries() != 1 {
 		t.Errorf("cached hit must not add an entry, Entries = %d", m.Entries())
 	}
 }
 
 func TestSliceDetected(t *testing.T) {
-	m := NewManager(instance(3, 60))
+	m := newSession(instance(3, 60))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	sliced, err := core.Slice(q, "d0", rdf.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, sliced, StrategyDice)
+	answerBoth(t, m, sliced, viewreg.StrategyDice)
 }
 
 func TestDiceDetected(t *testing.T) {
-	m := NewManager(instance(4, 60))
+	m := newSession(instance(4, 60))
 	q := query(t, agg.Count)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	diced, err := core.Dice(q, map[string][]rdf.Term{
 		"d0": {rdf.NewInt(1), rdf.NewInt(2)},
 		"d1": {rdf.NewInt(0), rdf.NewInt(3)},
@@ -125,87 +130,87 @@ func TestDiceDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, diced, StrategyDice)
+	answerBoth(t, m, diced, viewreg.StrategyDice)
 }
 
 func TestDiceOfDiceDetected(t *testing.T) {
 	// A second dice refining the first must rewrite against the *diced*
 	// materialization (or the base; both are correct — strategy must be
 	// a rewrite, not direct).
-	m := NewManager(instance(5, 60))
+	m := newSession(instance(5, 60))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	d1, err := core.Dice(q, map[string][]rdf.Term{"d0": {rdf.NewInt(1), rdf.NewInt(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, d1, StrategyDice)
+	answerBoth(t, m, d1, viewreg.StrategyDice)
 	d2, err := core.Dice(d1, map[string][]rdf.Term{"d0": {rdf.NewInt(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, d2, StrategyDice)
+	answerBoth(t, m, d2, viewreg.StrategyDice)
 }
 
 func TestRelaxedDiceNotRefinement(t *testing.T) {
 	// Materialize a restricted cube, then ask the unrestricted one: the
 	// restricted ans(Q) cannot answer it; direct evaluation required.
-	m := NewManager(instance(6, 60))
+	m := newSession(instance(6, 60))
 	q := query(t, agg.Sum)
 	sliced, err := core.Slice(q, "d0", rdf.NewInt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, sliced, StrategyDirect)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, sliced, viewreg.StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 }
 
 func TestDrillOutDetected(t *testing.T) {
-	m := NewManager(instance(7, 80))
+	m := newSession(instance(7, 80))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	qOut, err := core.DrillOut(q, "d1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, qOut, StrategyDrillOut)
+	answerBoth(t, m, qOut, viewreg.StrategyDrillOut)
 }
 
 func TestDrillOutBlockedByRestrictedDroppedDim(t *testing.T) {
 	// e materialized with Σ(d1) restricted: dropping d1 cannot reuse
 	// e.Pres (it was filtered); must go direct.
-	m := NewManager(instance(8, 80))
+	m := newSession(instance(8, 80))
 	q := query(t, agg.Sum)
 	sliced, err := core.Slice(q, "d1", rdf.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, sliced, StrategyDirect)
+	answerBoth(t, m, sliced, viewreg.StrategyDirect)
 	qOut, err := core.DrillOut(sliced, "d1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, qOut, StrategyDirect)
+	answerBoth(t, m, qOut, viewreg.StrategyDirect)
 }
 
 func TestDrillInDetected(t *testing.T) {
-	m := NewManager(instance(9, 80))
+	m := newSession(instance(9, 80))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	qIn, err := core.DrillIn(q, "d2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, qIn, StrategyDrillIn)
+	answerBoth(t, m, qIn, viewreg.StrategyDrillIn)
 }
 
 func TestDifferentMeasureNoReuse(t *testing.T) {
-	m := NewManager(instance(10, 50))
+	m := newSession(instance(10, 50))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 	// Same classifier, different aggregation: no reuse.
 	q2 := query(t, agg.Avg)
-	answerBoth(t, m, q2, StrategyDirect)
+	answerBoth(t, m, q2, viewreg.StrategyDirect)
 	// Different measure body: no reuse.
 	c := q.Classifier.Clone()
 	m2 := sparql.MustParseDatalog("m(x, v) :- x rdf:type :Fact, x :dim0 v", px())
@@ -213,92 +218,75 @@ func TestDifferentMeasureNoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerBoth(t, m, q3, StrategyDirect)
+	answerBoth(t, m, q3, viewreg.StrategyDirect)
 }
 
 func TestSessionWorkflow(t *testing.T) {
 	// A realistic OLAP session: base cube, slice, drill-out, drill-in,
 	// re-ask the base. Only the first answer touches the instance.
-	m := NewManager(instance(11, 100))
+	m := newSession(instance(11, 100))
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 
 	sliced, _ := core.Slice(q, "d0", rdf.NewInt(3))
-	answerBoth(t, m, sliced, StrategyDice)
+	answerBoth(t, m, sliced, viewreg.StrategyDice)
 
 	qOut, _ := core.DrillOut(q, "d0")
-	answerBoth(t, m, qOut, StrategyDrillOut)
+	answerBoth(t, m, qOut, viewreg.StrategyDrillOut)
 
 	qIn, _ := core.DrillIn(q, "d2")
-	answerBoth(t, m, qIn, StrategyDrillIn)
+	answerBoth(t, m, qIn, viewreg.StrategyDrillIn)
 
-	answerBoth(t, m, q, StrategyCached)
+	answerBoth(t, m, q, viewreg.StrategyCached)
 
-	stats := m.Stats()
-	if stats[StrategyDirect] != 1 {
-		t.Errorf("direct evaluations = %d, want 1: %v", stats[StrategyDirect], stats)
+	stats := m.Stats().ByStrategy
+	if stats[viewreg.StrategyDirect] != 1 {
+		t.Errorf("direct evaluations = %d, want 1: %v", stats[viewreg.StrategyDirect], stats)
 	}
 	if m.Entries() != 1 {
 		t.Errorf("Entries = %d, want 1 (rewrites are not re-materialized)", m.Entries())
 	}
 }
 
-func TestEviction(t *testing.T) {
-	m := NewManager(instance(12, 40))
-	m.MaxEntries = 2
-	base := query(t, agg.Sum)
-	for i := 0; i < 4; i++ {
-		sliced, err := core.Slice(base, "d1", rdf.NewInt(int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each differently-sliced query... sliced queries are dice
-		// refinements of each other only when subsets; distinct
-		// singletons force direct evaluation and materialization.
-		if _, _, err := m.Answer(sliced); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Entries() != 2 {
-		t.Errorf("Entries = %d, want 2 after eviction", m.Entries())
-	}
-}
-
 // TestInsertMaintainsSessionViews: an analyst's writes through the
-// manager keep the materialized cube alive — the next identical query is
-// still answered from the (maintained) view and reflects the new facts.
+// session's write contract (Instance().Add, then NotifyWrite) keep the
+// materialized cube alive — the next identical query is still answered
+// from the (maintained) view and reflects the new facts.
 func TestInsertMaintainsSessionViews(t *testing.T) {
 	st := instance(21, 40)
 	st.Freeze()
-	m := NewManager(st)
+	m := newSession(st)
 	q := query(t, agg.Sum)
-	answerBoth(t, m, q, StrategyDirect)
+	answerBoth(t, m, q, viewreg.StrategyDirect)
 
 	x := iri("sessfact")
-	added := m.Insert([]rdf.Triple{
+	added := 0
+	for _, tr := range []rdf.Triple{
 		{S: x, P: rdf.Type, O: iri("Fact")},
 		{S: x, P: iri("dim0"), O: rdf.NewInt(1)},
 		{S: x, P: iri("at"), O: iri("hub2")},
 		{S: x, P: iri("score"), O: rdf.NewInt(700)},
-	})
-	if added != 4 {
-		t.Fatalf("Insert added %d, want 4", added)
+	} {
+		if m.Instance().Add(tr) {
+			added++
+		}
 	}
-	if m.Insert(nil) != 0 {
-		t.Fatal("empty Insert reported additions")
+	if added != 4 {
+		t.Fatalf("Add added %d, want 4", added)
+	}
+	m.NotifyWrite()
+	if got := m.Stats().Maintained; got == 0 {
+		t.Error("NotifyWrite did not maintain the registered view")
 	}
 	// Served from the maintained view — not re-evaluated — and correct.
-	answerBoth(t, m, q, StrategyCached)
-	if got := m.Registry().Stats().Maintained; got == 0 {
-		t.Error("Insert did not maintain the registered view")
-	}
-	if got := m.Stats()[StrategyDirect]; got != 1 {
+	answerBoth(t, m, q, viewreg.StrategyCached)
+	if got := m.Stats().ByStrategy[viewreg.StrategyDirect]; got != 1 {
 		t.Errorf("direct evaluations = %d, want 1", got)
 	}
 }
 
 func TestDescribe(t *testing.T) {
-	m := NewManager(instance(13, 30))
+	m := newSession(instance(13, 30))
 	q := query(t, agg.Sum)
 	if _, _, err := m.Answer(q); err != nil {
 		t.Fatal(err)
@@ -310,30 +298,9 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestInvalidQueryRejected(t *testing.T) {
-	m := NewManager(instance(14, 10))
+	m := newSession(instance(14, 10))
 	bad := &core.Query{}
 	if _, _, err := m.Answer(bad); err == nil {
 		t.Error("invalid query accepted")
-	}
-}
-
-// The matching-predicate unit tests (head relations, Σ refinement) live
-// with the detection logic in internal/viewreg; this file keeps the
-// end-to-end session behavior tests.
-
-func TestManagerPreservesRegistryByteBudget(t *testing.T) {
-	// A byte budget configured directly on the exposed registry must
-	// survive Answer's forwarding of the legacy MaxEntries bound.
-	m := NewManager(instance(15, 30))
-	m.Registry().SetLimits(0, 123456)
-	m.MaxEntries = 7
-	if _, _, err := m.Answer(query(t, agg.Sum)); err != nil {
-		t.Fatal(err)
-	}
-	// Shrink the budget below the entry's size: the eviction must kick
-	// in, proving the byte bound stayed live after Answer.
-	m.Registry().SetLimits(0, 1)
-	if got := m.Entries(); got != 0 {
-		t.Fatalf("Entries = %d, want 0 after byte-budget eviction", got)
 	}
 }

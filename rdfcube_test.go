@@ -327,34 +327,6 @@ func TestPublicSessionStrategies(t *testing.T) {
 	}
 }
 
-// TestPublicSessionNoReuse: queries that no materialized result can
-// answer are evaluated directly, and an invalid query is an error.
-func TestPublicSessionNoReuse(t *testing.T) {
-	mustOp := opChecker(t)
-	base := sessionQuery(t, rdfcube.Sum, scoreMeasure)
-
-	// A restricted ans(Q) cannot answer the unrestricted cube.
-	sess := rdfcube.NewSession(sessionInstance(6, 60))
-	answerChecked(t, sess, mustOp(rdfcube.SliceOp(base, "d0", rdfcube.NewInt(1))), "direct", "slice first")
-	answerChecked(t, sess, base, "direct", "relaxed")
-
-	// Dropping a Σ-restricted dimension cannot reuse the filtered pres.
-	sess = rdfcube.NewSession(sessionInstance(8, 80))
-	sliced := mustOp(rdfcube.SliceOp(base, "d1", rdfcube.NewInt(2)))
-	answerChecked(t, sess, sliced, "direct", "slice on d1")
-	answerChecked(t, sess, mustOp(rdfcube.DrillOutOp(sliced, "d1")), "direct", "drill out the sliced dimension")
-
-	// Another aggregation function or measure body shares nothing.
-	sess = rdfcube.NewSession(sessionInstance(10, 50))
-	answerChecked(t, sess, base, "direct", "sum")
-	answerChecked(t, sess, sessionQuery(t, rdfcube.Avg, scoreMeasure), "direct", "avg")
-	answerChecked(t, sess, sessionQuery(t, rdfcube.Sum, "m(x, v) :- x rdf:type :Fact, x :dim0 v"), "direct", "other measure")
-
-	if _, _, err := sess.Answer(&rdfcube.Query{}); err == nil {
-		t.Error("invalid query accepted")
-	}
-}
-
 // TestPublicSessionLimits: SetLimits bounds the registered views; past
 // the entry budget the least recently used are evicted.
 func TestPublicSessionLimits(t *testing.T) {
