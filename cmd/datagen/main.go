@@ -62,10 +62,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		w = f
 	}
-	if err := rdfcube.WriteNTriples(st, w); err != nil {
+	err = rdfcube.WriteNTriples(st, w)
+	if w != os.Stdout {
+		// A write can fail only at close (the last block flushed to a
+		// full disk): the file is not written until Close says so.
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 		os.Exit(1)
 	}

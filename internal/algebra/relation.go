@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"rdfcube/internal/agg"
 	"rdfcube/internal/dict"
@@ -290,14 +289,15 @@ func (r *Relation) GroupAggregate(groupCols []string, valueCol, aggCol string, f
 }
 
 // Sort orders rows lexicographically in place (Kind, then payload) for
-// deterministic output.
+// deterministic output: the order CompareRows defines.
 func (r *Relation) Sort() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		return compareRows(r.Rows[i], r.Rows[j]) < 0
-	})
+	slices.SortFunc(r.Rows, CompareRows)
 }
 
-func compareRows(a, b Row) int {
+// CompareRows orders rows of equal width lexicographically, each cell by
+// Kind and then payload; it is the order Sort establishes, so
+// slices.IsSortedFunc(r.Rows, CompareRows) tells whether r needs one.
+func CompareRows(a, b Row) int {
 	for k := range a {
 		if c := compareValues(a[k], b[k]); c != 0 {
 			return c

@@ -7,18 +7,14 @@ package server
 
 import (
 	"fmt"
-	"slices"
 
 	"rdfcube/internal/agg"
-	"rdfcube/internal/algebra"
 	"rdfcube/internal/ans"
 	"rdfcube/internal/core"
-	"rdfcube/internal/dict"
 	"rdfcube/internal/obs"
 	"rdfcube/internal/obs/workload"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/sparql"
-	"rdfcube/internal/viewreg"
 )
 
 // QueryRequest submits an analytical query, optionally transformed by a
@@ -59,9 +55,11 @@ type OpSpec struct {
 	Dims []string `json:"dims,omitempty"`
 }
 
-// QueryResponse carries the answered cube. Rows are sorted
+// QueryResponse is the /query response body. Rows are sorted
 // lexicographically and rendered with terms in N-Triples syntax, so two
-// equal cubes serialize byte-identically.
+// equal cubes serialize byte-identically. The server appends this
+// encoding straight from the cube (appendQueryBody) rather than
+// building the struct; clients decode into it.
 type QueryResponse struct {
 	Strategy  string     `json:"strategy"`
 	Cols      []string   `json:"cols"`
@@ -445,43 +443,4 @@ func buildSchema(req *SchemaRequest) (*ans.Schema, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// renderCube sorts a copy of the cube's row list — the rows themselves
-// are shared, not copied — and renders its cells deterministically: term
-// IDs in N-Triples syntax through the dictionary, numbers like
-// algebra.Value (integral floats without a point). Equal cubes therefore
-// serialize byte-identically regardless of the strategy that produced
-// them. A dimension value recurs across many cells, so each distinct
-// term is decoded and rendered once per response.
-func renderCube(cube *algebra.Relation, d *dict.Dictionary, strategy viewreg.Strategy, elapsedNs int64) *QueryResponse {
-	sorted := &algebra.Relation{Cols: cube.Cols, Rows: slices.Clone(cube.Rows)}
-	sorted.Sort()
-	terms := map[dict.ID]string{}
-	rows := make([][]string, len(sorted.Rows))
-	for i, row := range sorted.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			if v.Kind == algebra.TermValue {
-				if s, ok := terms[v.ID]; ok {
-					cells[j] = s
-					continue
-				}
-				if t, ok := d.Decode(v.ID); ok {
-					cells[j] = t.String()
-					terms[v.ID] = cells[j]
-					continue
-				}
-			}
-			cells[j] = v.String()
-		}
-		rows[i] = cells
-	}
-	return &QueryResponse{
-		Strategy:  string(strategy),
-		Cols:      append([]string(nil), sorted.Cols...),
-		Rows:      rows,
-		Cells:     len(rows),
-		ElapsedNs: elapsedNs,
-	}
 }

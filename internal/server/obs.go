@@ -261,22 +261,22 @@ func artifactAttrs(err error) []any {
 // to vanish; now they are counted and logged (mid-stream failures
 // cannot be reported to the client — the headers are gone).
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	s.writeJSONT(w, status, v, nil)
-}
-
-// writeJSONT is writeJSON carrying the request's trace, so an encode
-// failure of a traced query logs with its trace ID.
-func (s *Server) writeJSONT(w http.ResponseWriter, status int, v any, tr *obs.Trace) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.met.jsonErrors.Inc()
-		attrs := []any{slog.String("err", err.Error()), slog.Int("status", status)}
-		if tr != nil {
-			attrs = append(attrs, slog.String("trace_id", tr.ID))
-		}
-		s.slog().Warn("response encode failed", attrs...)
+		s.encodeFailed(err, status, nil)
 	}
+}
+
+// encodeFailed counts and logs a response body that failed to encode or
+// write, with the request's trace ID when it was traced.
+func (s *Server) encodeFailed(err error, status int, tr *obs.Trace) {
+	s.met.jsonErrors.Inc()
+	attrs := []any{slog.String("err", err.Error()), slog.Int("status", status)}
+	if tr != nil {
+		attrs = append(attrs, slog.String("trace_id", tr.ID))
+	}
+	s.slog().Warn("response encode failed", attrs...)
 }
 
 // handleMetrics serves the Prometheus text exposition of every

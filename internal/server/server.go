@@ -46,6 +46,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -780,6 +781,13 @@ func queryStatus(err error) int {
 // context, bounded by Config.QueryTimeout: a disconnecting client or an
 // elapsed deadline cancels the operator pipeline cooperatively.
 //
+// The body is QueryResponse as encoding/json would write it, appended
+// straight from the cube into a pooled buffer (appendQueryBody) and sent
+// with one Write. The registry sorts each cube it evaluates or derives
+// once, before publishing it, so a cached hit renders without a sort;
+// a direct answer, or a maintained view whose rows incr keeps
+// positional, is sorted through a copy of its row list.
+//
 // ?explain=analyze traces this request (regardless of Config.TraceAll)
 // and attaches the finished span tree — per-operator timings, row and
 // seek counts — to the response. The result rows are the ones the
@@ -846,7 +854,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, error
 	_, rspan := obs.StartSpan(ctx, "render")
 	elapsed := time.Since(t0).Nanoseconds()
 	s.met.queries[strategy].Observe(elapsed)
-	resp := renderCube(cube, s.inst.Dict(), strategy, elapsed)
+	body := getQueryBody()
+	defer putQueryBody(body)
+	body.buf = appendQueryBody(body.buf, body.terms, cube, s.inst.Dict(), strategy, elapsed)
 	rspan.End()
 	qcost.AddWallNs(elapsed)
 	snap := qcost.Snapshot()
@@ -859,12 +869,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, error
 		slog.Int64("bytes", snap.Bytes))
 	if explain && tr != nil {
 		dump := tr.Dump()
-		resp.TraceID = dump.ID
-		resp.Explain = dump.Root
-		resp.Cost = &snap
+		if body.buf, err = appendExplain(body.buf, dump.ID, dump.Root, &snap); err != nil {
+			s.encodeFailed(err, http.StatusInternalServerError, tr)
+			return http.StatusInternalServerError, err
+		}
 	}
-	w.Header().Set("X-RDFCube-Cost", snap.HeaderString())
-	s.writeJSONT(w, http.StatusOK, resp, tr)
+	h := w.Header()
+	h.Set("X-RDFCube-Cost", snap.HeaderString())
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body.buf)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body.buf); err != nil {
+		s.encodeFailed(err, http.StatusOK, tr)
+	}
 	return http.StatusOK, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -374,5 +375,63 @@ func TestConcurrentAskersShareImmutableCube(t *testing.T) {
 	wg.Wait()
 	if s := r.Stats(); s.ByStrategy[StrategyDirect] != 1 {
 		t.Fatalf("direct evaluations = %d, want 1", s.ByStrategy[StrategyDirect])
+	}
+}
+
+// TestPublishedCubesAreSorted: every cube the registry evaluates or
+// derives — direct, σ_dice, Algorithm 1 or 2, and its cached repeats —
+// is published in CompareRows order, so /query renders a hit without a
+// sort. A maintained view is the exception: incr indexes its rows by
+// cell, so neither a write notification nor lookup-time maintenance
+// (whose scan hands the entry's own ans back as cached) may reorder
+// them, and the view still equals fresh evaluation write after write.
+func TestPublishedCubesAreSorted(t *testing.T) {
+	st := instance(29, 120)
+	r := New(st, Config{})
+	base := query(t, agg.Sum)
+	if g, err := r.Evaluator().Answer(base); err != nil {
+		t.Fatal(err)
+	} else if slices.IsSortedFunc(g.Rows, algebra.CompareRows) {
+		t.Fatal("γ's first-seen order is already sorted; the test would not see a missing sort")
+	}
+	out, err := core.DrillOut(base, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := core.DrillIn(base, "d2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dice(t, base, 0, 3)
+	steps := []struct {
+		q    *core.Query
+		want Strategy
+	}{
+		{base, StrategyDirect}, {base, StrategyCached},
+		{d, StrategyDice}, {d, StrategyDice}, {d, StrategyCached},
+		{out, StrategyDrillOut}, {out, StrategyDrillOut}, {out, StrategyCached},
+		{in, StrategyDrillIn}, {in, StrategyDrillIn}, {in, StrategyCached},
+	}
+	for i, s := range steps {
+		label := fmt.Sprintf("step %d (%s)", i, s.want)
+		cube := answer(t, r, s.q.Clone(), s.want, label)
+		if !slices.IsSortedFunc(cube.Rows, algebra.CompareRows) {
+			t.Fatalf("%s: published cube is not sorted", label)
+		}
+	}
+
+	for round := 0; round < 4; round++ {
+		// Existing cells change (dim0 0–3 on hub1) and new ones appear.
+		newFact(r.Instance(), 200+round, int64(round), int64(10+round))
+		newFact(r.Instance(), 300+round, int64(7+round), 1)
+		if round%2 == 0 {
+			r.NotifyWrite()
+		}
+		label := fmt.Sprintf("round %d", round)
+		answer(t, r, base.Clone(), StrategyCached, label+" maintained base")
+		answer(t, r, d.Clone(), StrategyDice, label+" dice of the maintained base")
+	}
+	if s := r.Stats(); s.ByStrategy[StrategyDirect] != 1 || s.Maintained == 0 {
+		t.Fatalf("stats %+v: want 1 direct evaluation and maintained views", s)
 	}
 }

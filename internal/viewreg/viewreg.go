@@ -547,6 +547,11 @@ func (r *Registry) AnswerCtx(ctx context.Context, q *core.Query) (out *algebra.R
 	evalSpan.End()
 	evalNs := time.Since(evalStart).Nanoseconds()
 
+	if err == nil {
+		// The cube is this leader's own until published: sort it now, so
+		// no follower or later hit pays for canonical order at render.
+		cube.Sort()
+	}
 	r.mu.Lock()
 	if r.inflight[key] == fl {
 		delete(r.inflight, key)
@@ -633,6 +638,13 @@ func (r *Registry) leadRewrite(ctx context.Context, span *obs.Span, fl *rewriteF
 		}
 	}
 	scanSpan.End()
+	if err == nil && cube != nil && strat != StrategyCached {
+		// A rewrite's result is a fresh row list (σ, γ and π never hand
+		// back their input's), so sorting it touches no entry; a cached
+		// scan result is an entry's own ans, which may be incr's
+		// positional rows, and is left alone.
+		cube.Sort()
+	}
 	r.mu.Lock()
 	if r.rwFlight[key] == fl {
 		delete(r.rwFlight, key)
