@@ -52,9 +52,10 @@ func putQueryBody(b *queryBody) {
 // QueryResponse's fields in order, up to elapsed_ns, the closing brace
 // and encoding/json's trailing newline. Rows come in CompareRows order,
 // so equal cubes serialize byte-identically whatever strategy produced
-// them. A cube already in that order — every cube the registry
-// produces, except maintained views — costs one linear check; any other
-// is sorted through a copy of its row list, as the rows are shared.
+// them. A cube already in that order — one the registry evaluated or
+// derived — costs one linear check; any other, such as a direct answer
+// or a maintained view, is sorted through a copy of its row list, as
+// the rows are shared.
 // Terms render in N-Triples syntax through d, numbers, keys and unknown
 // IDs as algebra.Value.String does. terms must be empty: it memoizes
 // the terms written into this body.
@@ -141,28 +142,22 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, b...)
 }
 
-// appendExplain reopens a body appendQueryBody finished and adds
-// ?explain=analyze's fields after elapsed_ns, each left out when empty
-// as QueryResponse's omitempty tags do.
-func appendExplain(body []byte, traceID string, root *obs.SpanDump, cost *obs.CostSnapshot) ([]byte, error) {
-	body = body[:len(body)-len("}\n")]
-	if traceID != "" {
-		body = append(body, `,"trace_id":`...)
-		body = appendJSONString(body, traceID)
+// appendExplain reopens a body appendQueryBody finished and adds the
+// fields ?explain=analyze sets — trace_id, explain, cost — after
+// elapsed_ns, tagged as QueryResponse tags them.
+func appendExplain(body []byte, dump *obs.TraceDump, cost *obs.CostSnapshot) ([]byte, error) {
+	fields, err := json.Marshal(struct {
+		TraceID string            `json:"trace_id,omitempty"`
+		Explain *obs.SpanDump     `json:"explain,omitempty"`
+		Cost    *obs.CostSnapshot `json:"cost,omitempty"`
+	}{dump.ID, dump.Root, cost})
+	if err != nil {
+		return nil, err
 	}
-	if root != nil {
-		b, err := json.Marshal(root)
-		if err != nil {
-			return nil, err
-		}
-		body = append(append(body, `,"explain":`...), b...)
+	if len(fields) == len("{}") {
+		return body, nil
 	}
-	if cost != nil {
-		b, err := json.Marshal(cost)
-		if err != nil {
-			return nil, err
-		}
-		body = append(append(body, `,"cost":`...), b...)
-	}
-	return append(body, "}\n"...), nil
+	body = append(body[:len(body)-len("}\n")], ',')
+	body = append(body, fields[1:]...) // the fields and their closing brace
+	return append(body, '\n'), nil
 }

@@ -216,7 +216,7 @@ func TestRenderExplainMatchesReference(t *testing.T) {
 		resp := renderCube(cube, d, viewreg.StrategyDrillIn, 99)
 		resp.TraceID, resp.Explain, resp.Cost = c.id, c.root, c.cost
 		want := referenceBody(t, resp)
-		got, err := appendExplain(appendQueryBody(nil, termMemo{}, cube, d, viewreg.StrategyDrillIn, 99), c.id, c.root, c.cost)
+		got, err := appendExplain(appendQueryBody(nil, termMemo{}, cube, d, viewreg.StrategyDrillIn, 99), &obs.TraceDump{ID: c.id, Root: c.root}, c.cost)
 		if err != nil {
 			t.Fatal(err)
 		}

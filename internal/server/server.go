@@ -868,8 +868,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, error
 		slog.Int64("batches", snap.Batches),
 		slog.Int64("bytes", snap.Bytes))
 	if explain && tr != nil {
-		dump := tr.Dump()
-		if body.buf, err = appendExplain(body.buf, dump.ID, dump.Root, &snap); err != nil {
+		if body.buf, err = appendExplain(body.buf, tr.Dump(), &snap); err != nil {
 			s.encodeFailed(err, http.StatusInternalServerError, tr)
 			return http.StatusInternalServerError, err
 		}
