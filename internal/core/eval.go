@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rdfcube/internal/algebra"
 	"rdfcube/internal/bgp"
@@ -13,9 +14,10 @@ import (
 )
 
 // Evaluator answers analytical queries against a materialized AnS
-// instance. It owns the direct-evaluation path (from the instance) and
-// the materialization of pres(Q)/ans(Q); the rewriting algorithms in
-// rewrite.go consume the materialized relations.
+// instance. It owns the direct-evaluation path (from the instance): c_Σ,
+// m_k and their fused join-aggregate ans(Q), and the materialization of
+// pres(Q), which only the rewriting algorithms in rewrite.go and the
+// views that feed them consume.
 type Evaluator struct {
 	inst *store.Store
 	ctx  context.Context // nil = background; see WithContext
@@ -95,18 +97,24 @@ func (e *Evaluator) SigmaFilter(rel *algebra.Relation, dims []string, sigma Sigm
 }
 
 // EvalClassifier evaluates the (extended) classifier c_Σ with set
-// semantics. Columns: root, d1..dn, holding term IDs.
+// semantics. Columns: root, d1..dn, holding term IDs. Without Σ the BGP
+// result is c_Σ as it stands; with Σ the relation, which is freshly
+// built and owned here, is filtered in place.
 func (e *Evaluator) EvalClassifier(q *Query) (*algebra.Relation, error) {
 	res, err := bgp.EvalSetCtx(e.context(), e.inst, q.Classifier)
 	if err != nil {
 		return nil, err
 	}
 	rel := resultToRelation(res)
+	if len(q.Sigma) == 0 {
+		return rel, nil
+	}
 	pred, err := e.SigmaFilter(rel, q.Dims(), q.Sigma)
 	if err != nil {
 		return nil, err
 	}
-	return rel.Select(pred), nil
+	rel.Rows = slices.DeleteFunc(rel.Rows, func(row algebra.Row) bool { return !pred(row) })
+	return rel, nil
 }
 
 // EvalMeasureKeyed evaluates the measure m with bag semantics and attaches
@@ -158,14 +166,30 @@ func (e *Evaluator) Pres(q *Query) (*algebra.Relation, error) {
 }
 
 // Answer computes ans(Q) directly from the instance, via Equation (3):
-// ans(Q) = γ_{d1..dn,⊕(v)}(π_{x,d1..dn,v}(pres(Q))).
+// ans(Q) = γ_{d1..dn,⊕(v)}(π_{x,d1..dn,v}(pres(Q))) with pres(Q) =
+// c_Σ ⋈_x m_k (Definition 4). The join and γ run as one fused pass
+// (Relation.JoinAggregate): c_Σ probes, in its own order, a table built
+// on m_k, and every match feeds its cell straight away, so pres(Q) —
+// every measure tuple repeated once per classifier row of its fact — is
+// never built. That is the feed order of Pres and AnswerFromPres, so the
+// cube equals theirs row for row and bit for bit. The bytes charged to
+// the context's cost are what Answer does build: c_Σ, m_k and the cube.
 // Columns: d1..dn, v (the aggregate).
 func (e *Evaluator) Answer(q *Query) (*algebra.Relation, error) {
-	pres, err := e.Pres(q)
+	c, err := e.EvalClassifier(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.AnswerFromPres(q, pres)
+	mk, err := e.EvalMeasureKeyed(q)
+	if err != nil {
+		return nil, err
+	}
+	cube, err := c.JoinAggregate(mk, []string{q.Root()}, q.Dims(), q.MeasureVar(), q.Agg, e.ResolveNumeric)
+	if err != nil {
+		return nil, err
+	}
+	obs.CostFromContext(e.context()).AddBytes(c.EstimateBytes() + mk.EstimateBytes() + cube.EstimateBytes())
+	return cube, nil
 }
 
 // AnswerFromPres aggregates a materialized pres(Q) into ans(Q)

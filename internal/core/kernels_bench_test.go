@@ -3,12 +3,20 @@ package core_test
 // BenchmarkRewriteKernels times the three rewrites that answer from
 // pres(Q) — Algorithm 1, Algorithm 2 and Equation 3 — on the blogger
 // data and the four base cubes of the end-to-end benchmark (bench/ops.go),
-// without the server, registry or BGP evaluation of pres around them,
-// and, as the pres leg, Definition 4's pres(Q) = c ⋈ m_k itself for the
-// four bases, BGP evaluation of c and m_k included.
+// without the server, registry or BGP evaluation of pres around them;
+// as the pres leg, Definition 4's pres(Q) = c ⋈ m_k itself for the four
+// bases, BGP evaluation of c and m_k included; and, as the direct leg,
+// Answer for the four bases: c and m_k evaluated and fused into γ(c ⋈
+// m_k) without pres, the work the pres and ans_from_pres legs do
+// between them.
+//
+// TestEquation3KernelBase checks Answer on one base of the same
+// fixture, whose classifier is wide enough for γ to fan out.
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,4 +128,50 @@ func BenchmarkRewriteKernels(b *testing.B) {
 	run("pres", []int{0, 1, 2, 3}, func(q *core.Query, _ *algebra.Relation) (*algebra.Relation, error) {
 		return fx.ev.Pres(q)
 	})
+	run("direct", []int{0, 1, 2, 3}, func(q *core.Query, _ *algebra.Relation) (*algebra.Relation, error) {
+		return fx.ev.Answer(q)
+	})
+}
+
+// TestEquation3KernelBase: on the sum base of the kernel fixture, whose
+// classifier has more rows than the 16,384 at which γ and ⋈ fan out by
+// default, Answer is byte-identical to AnswerFromPres(Pres) — same rows,
+// same order, same float bits — with the fan-out sized by GOMAXPROCS and
+// pinned to 1, 2 and 4 workers.
+func TestEquation3KernelBase(t *testing.T) {
+	if err := loadKernelFixture(); err != nil {
+		t.Fatal(err)
+	}
+	fx := &kernelFixture
+	q, pres := fx.qs[1], fx.pres[1]
+	c, err := fx.ev.EvalClassifier(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() <= 16384 {
+		t.Fatalf("classifier has %d rows, too few for the parallel pass", c.Len())
+	}
+	defer func() { algebra.GroupWorkers = 0 }()
+	for _, workers := range []int{0, 1, 2, 4} {
+		algebra.GroupWorkers = workers
+		got, err := fx.ev.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fx.ev.AnswerFromPres(q, pres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Cols, want.Cols) || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("workers %d: fused cube %v × %d rows, pres cube %v × %d", workers, got.Cols, len(got.Rows), want.Cols, len(want.Rows))
+		}
+		for i, row := range got.Rows {
+			for j, x := range row {
+				y := want.Rows[i][j]
+				if x.Kind != y.Kind || x.ID != y.ID || math.Float64bits(x.Num) != math.Float64bits(y.Num) {
+					t.Fatalf("workers %d: row %d is %v, pres gives %v", workers, i, row, want.Rows[i])
+				}
+			}
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfcube/internal/agg"
@@ -279,29 +280,167 @@ func TestEquation1Random(t *testing.T) {
 	}
 }
 
-// TestEquation3Random: Answer == AnswerFromPres(Pres) — the two paths to
-// ans(Q) agree by construction and must stay that way.
+// orderedFloats are measure values whose aggregate depends on feed order
+// and bit patterns: sums that cancel or round differently in another
+// order, −0 against +0 under min and max, and NaN.
+var orderedFloats = []float64{1e16, -1e16, 1, 0.1, 0.2, 0.3, math.Copysign(0, -1), 0, math.NaN(), 2.5}
+
+// floatInstance is randomInstance plus float measures drawn from
+// orderedFloats for about half of the facts. Their events are interned
+// in reverse fact order, so an m_k plan that binds the event before the
+// root lists the roots in another order than c.
+func floatInstance(rng *rand.Rand, facts, nDims int) *store.Store {
+	st := randomInstance(rng, facts, nDims)
+	for f := facts - 1; f >= 0; f-- {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		x := iri(fmt.Sprintf("fact%d", f))
+		for m := 0; m < 1+rng.Intn(3); m++ {
+			ev := iri(fmt.Sprintf("fev%d_%d", f, m))
+			st.Add(rdf.NewTriple(ev, iri("score"), rdf.NewFloat(orderedFloats[rng.Intn(len(orderedFloats))])))
+			st.Add(rdf.NewTriple(x, iri("did"), ev))
+		}
+	}
+	return st
+}
+
+// cubesIdentical reports whether a and b have the same columns and the
+// same rows in the same order, cell by cell: kind, term, key and float
+// bits, so NaN equals only NaN and −0 differs from +0.
+func cubesIdentical(a, b *algebra.Relation) bool {
+	if !slices.Equal(a.Cols, b.Cols) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) {
+			return false
+		}
+		for j, x := range a.Rows[i] {
+			y := b.Rows[i][j]
+			if x.Kind != y.Kind || x.ID != y.ID || x.Key != y.Key || math.Float64bits(x.Num) != math.Float64bits(y.Num) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// refPres is pres(Q) = c ⋈_x m_k rebuilt over decoded rows with a Go
+// map: c's rows in order, each followed by its root's m_k rows in m_k's
+// order, as root, dims..., k, v.
+func refPres(c, mk []refRow) []refRow {
+	byRoot := map[string][]refRow{}
+	for _, m := range mk {
+		byRoot[m.cells[1]] = append(byRoot[m.cells[1]], m)
+	}
+	var out []refRow
+	for _, r := range c {
+		for _, m := range byRoot[r.cells[0]] {
+			out = append(out, refRow{cells: append(slices.Clone(r.cells), m.cells[0], m.cells[2]), v: m.v})
+		}
+	}
+	return out
+}
+
+// checkEquation3 checks Answer, the fused γ(c_Σ ⋈ m_k), against two legs:
+// Pres + AnswerFromPres, strictly, and the map-based reference join and
+// γ over decoded rows, which shares no code with algebra. It reports
+// whether m_k lists its roots in another order than c_Σ.
+func checkEquation3(t *testing.T, label string, st *store.Store, q *Query) bool {
+	t.Helper()
+	ev := NewEvaluator(st)
+	got, err := ev.Answer(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	pres, err := ev.Pres(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, err := ev.AnswerFromPres(q, pres)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !cubesIdentical(got, want) {
+		t.Fatalf("%s: Equation (3) fused %v\n pres %v", label, got.Rows, want.Rows)
+	}
+	c, err := ev.EvalClassifier(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	mk, err := ev.EvalMeasureKeyed(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	dims := make([]int, len(q.Dims()))
+	for i := range dims {
+		dims[i] = i + 1
+	}
+	refMatch(t, label+" reference", st, got, refGroup(refPres(refDecode(st, c), refDecode(st, mk)), dims, q.Agg.Name()))
+	cRoots, mRoots := firstSeen(c.Rows, 0), firstSeen(mk.Rows, 1)
+	notIn := func(in []algebra.Value) func(algebra.Value) bool {
+		return func(v algebra.Value) bool { return !slices.Contains(in, v) }
+	}
+	return !slices.Equal(slices.DeleteFunc(slices.Clone(cRoots), notIn(mRoots)), slices.DeleteFunc(mRoots, notIn(cRoots)))
+}
+
+// firstSeen lists the distinct values of column col of rows in
+// first-seen order.
+func firstSeen(rows []algebra.Row, col int) []algebra.Value {
+	var out []algebra.Value
+	for _, r := range rows {
+		if !slices.Contains(out, r[col]) {
+			out = append(out, r[col])
+		}
+	}
+	return out
+}
+
+// TestEquation3Random: Answer, which runs Equation (3) as one fused pass
+// over c_Σ and m_k, is byte-identical to AnswerFromPres(Pres) — same
+// rows, same order, same float bits — for all six aggregates, Σ on one
+// and on two dimensions, multi-valued dimensions, an empty classifier
+// and an empty measure, with γ sequential and fanned out over 2 and 4
+// workers.
 func TestEquation3Random(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	for trial := 0; trial < 15; trial++ {
-		nDims := 1 + rng.Intn(3)
-		st := randomInstance(rng, 20+rng.Intn(40), nDims)
-		q := randomQuery(t, nDims, agg.Avg)
-		ev := NewEvaluator(st)
-		a1, err := ev.Answer(q)
-		if err != nil {
-			t.Fatal(err)
+	defer func() { algebra.GroupWorkers = 0 }()
+	funcs := []agg.Func{agg.Count, agg.Sum, agg.Avg, agg.Min, agg.Max, agg.CountDistinct}
+	absent := sparql.MustParseDatalog("m(x, v) :- x rdf:type :Fact, x :did e, e :absent v", exPrefixes())
+	for _, workers := range []int{1, 2, 4} {
+		algebra.GroupWorkers = workers
+		rng := rand.New(rand.NewSource(505))
+		reordered := 0
+		for trial := 0; trial < 18; trial++ {
+			f := funcs[trial%len(funcs)]
+			nDims := 1 + rng.Intn(3)
+			st := floatInstance(rng, 20+rng.Intn(40), nDims)
+			q := randomQuery(t, nDims, f)
+			label := fmt.Sprintf("workers %d trial %d %s", workers, trial, f.Name())
+			vals := func() []rdf.Term {
+				return []rdf.Term{rdf.NewInt(int64(rng.Intn(4))), rdf.NewInt(int64(4 + rng.Intn(3)))}
+			}
+			variants := []*Query{q}
+			add := func(v *Query, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				variants = append(variants, v)
+			}
+			add(Dice(q, map[string][]rdf.Term{"d0": vals()}))
+			if nDims >= 2 {
+				add(Dice(q, map[string][]rdf.Term{"d0": vals(), "d1": vals()}))
+			}
+			add(Slice(q, "d0", rdf.NewInt(99))) // no fact has it: c_Σ is empty
+			add(New(q.Classifier, absent, f))   // no event has :absent: m_k is empty
+			for i, v := range variants {
+				if checkEquation3(t, fmt.Sprintf("%s variant %d Σ %v", label, i, v.Sigma), st, v) {
+					reordered++
+				}
+			}
 		}
-		pres, err := ev.Pres(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := ev.AnswerFromPres(q, pres)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cubesApproxEqual(a1, a2) {
-			t.Fatalf("trial %d: Equation (3) violated", trial)
+		if reordered == 0 {
+			t.Fatalf("workers %d: m_k always listed its roots in c's order; a fused pass probing m_k would go unseen", workers)
 		}
 	}
 }

@@ -503,13 +503,9 @@ func (r *Registry) AnswerCtx(ctx context.Context, q *core.Query) (out *algebra.R
 			if isCtxErr(fl.err) && ctx.Err() == nil {
 				// The leader's caller walked away mid-evaluation; this
 				// follower is still live, so answer it with a private
-				// (unregistered) evaluation under its own context.
-				ev := r.ev.WithContext(ctx)
-				pres, err := ev.Pres(q)
-				if err != nil {
-					return nil, "", err
-				}
-				cube, err := ev.AnswerFromPres(q, pres)
+				// (unregistered) evaluation under its own context. It
+				// registers nothing, so it needs no pres.
+				cube, err := r.ev.WithContext(ctx).Answer(q)
 				if err != nil {
 					return nil, "", err
 				}
