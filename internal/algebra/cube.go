@@ -86,17 +86,25 @@ func newCube(cols []colRef, f agg.Func, resolve NumericResolver, n int) *Cube {
 	return c
 }
 
-// size allocates a slot array that holds n cells under half load and
-// slots the cells already open.
-func (c *Cube) size(n int) {
+// newSlots returns a free slot array that holds n entries under half
+// load — a power of two, at least 8 — and the shift that maps a hash
+// times fib to its first slot: the layout of every hash table of this
+// package (Cube, joinTable, idKeys).
+func newSlots(n int) ([]int32, uint) {
 	slots, shift := 8, uint(61)
 	for slots < 2*n {
 		slots, shift = slots<<1, shift-1
 	}
-	c.slots, c.shift = make([]int32, slots), shift
-	mask := slots - 1
+	return make([]int32, slots), shift
+}
+
+// size allocates a slot array that holds n cells under half load and
+// slots the cells already open.
+func (c *Cube) size(n int) {
+	c.slots, c.shift = newSlots(n)
+	mask := len(c.slots) - 1
 	for j := range c.cells {
-		i := int((c.cells[j].hash * fib) >> shift)
+		i := int((c.cells[j].hash * fib) >> c.shift)
 		for c.slots[i] != 0 {
 			i = (i + 1) & mask
 		}

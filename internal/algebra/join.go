@@ -26,11 +26,7 @@ type joinTable struct {
 func newJoinTable(rows []Row, idx []int) *joinTable {
 	n := len(rows)
 	t := &joinTable{rows: rows, idx: idx, hash: make([]uint64, n), next: make([]int32, n)}
-	slots, shift := 8, uint(61)
-	for slots < 2*n {
-		slots, shift = slots<<1, shift-1
-	}
-	t.slots, t.shift = make([]int32, slots), shift
+	t.slots, t.shift = newSlots(n)
 	// Rows go in last to first, each becoming the head of its key's
 	// chain, so chains run in ascending row order.
 	for r := n - 1; r >= 0; r-- {

@@ -220,3 +220,53 @@ func TestJoinAggregateChains(t *testing.T) {
 		t.Error("join column absent on the right accepted")
 	}
 }
+
+// TestJoinAggregateIDsMatchesNestedLoop checks the ⋈+γ on ID rows
+// against the nested-loop reference over the same rows as Values, row
+// for row and bit for bit: zero to three dimensions, roots of c that m
+// lacks and roots of m that c lacks, m's roots in shuffled order so
+// chains interleave, enough cells and roots to grow every table, and a
+// resolver that rejects some terms.
+func TestJoinAggregateIDsMatchesNestedLoop(t *testing.T) {
+	funcs := []agg.Func{agg.Count, agg.Sum, agg.Avg, agg.Min, agg.Max, agg.CountDistinct}
+	resolve := func(id dict.ID) (float64, bool) { return float64(id%7) * 0.1, id%5 != 0 }
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 60; trial++ {
+		f, w := funcs[trial%len(funcs)], trial%4
+		roots := 1 + rng.Intn(300)
+		var c, m [][]dict.ID
+		for i := rng.Intn(400); i > 0; i-- {
+			row := []dict.ID{dict.ID(1 + rng.Intn(roots))}
+			for d := 0; d < w; d++ {
+				row = append(row, dict.ID(1000+rng.Intn(6)))
+			}
+			c = append(c, row)
+		}
+		for i := rng.Intn(600); i > 0; i-- {
+			m = append(m, []dict.ID{dict.ID(1 + rng.Intn(roots+20)), dict.ID(2000 + rng.Intn(40))})
+		}
+		cols := []string{"x"}
+		for d := 0; d < w; d++ {
+			cols = append(cols, fmt.Sprintf("d%d", d))
+		}
+		cRel, mRel := NewRelation(cols...), NewRelation("x", "v")
+		for _, rows := range []struct {
+			ids [][]dict.ID
+			rel *Relation
+		}{{c, cRel}, {m, mRel}} {
+			for _, ids := range rows.ids {
+				row := make(Row, len(ids))
+				for i, id := range ids {
+					row[i] = TermV(id)
+				}
+				rows.rel.Append(row)
+			}
+		}
+		out := append(cols[1:len(cols):len(cols)], "v")
+		got, _ := JoinAggregateIDs(c, m, out, f, resolve)
+		want := nestedLoopJoinAggregate(cRel, mRel, []string{"x"}, cols[1:], "v", f, resolve)
+		if !relIdentical(got, want) {
+			t.Fatalf("trial %d (%s, %d dims): cube differs\n got %v %v\nwant %v %v", trial, f.Name(), w, got.Cols, got.Rows, want.Cols, want.Rows)
+		}
+	}
+}

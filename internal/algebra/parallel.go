@@ -19,7 +19,8 @@ package algebra
 //     chunk order and chains hold right rows in ascending order, so the
 //     emitted rows match the sequential nested order.
 //
-// Both honor the GroupWorkers override.
+// Both honor the GroupWorkers override. JoinAggregateIDs (idjoin.go)
+// is sequential and does not read it.
 
 import (
 	"runtime"

@@ -11,9 +11,12 @@
 // materialized: δ takes the columns it keys on and keeps whole input
 // rows, shared. γ over a join is one operator, JoinAggregate (join.go),
 // which feeds each match of the probe straight into γ, so the joined
-// rows are never built. All three run on one grouping primitive, Cube
-// (cube.go), an open-addressed cell table; ⋈ and Equal build on a table
-// of the same layout, with a chain of equal-key rows per slot. ⋈ and π
+// rows are never built; JoinAggregateIDs (idjoin.go) is the same pass
+// on rows of dictionary IDs, boxing only its output into Values. γ, δ
+// and JoinAggregate run on one grouping primitive, Cube (cube.go), an
+// open-addressed cell table; ⋈ and Equal build on a table of the same
+// layout, with a chain of equal-key rows per slot, and JoinAggregateIDs
+// keys its roots, terms and cells on tables of that layout too. ⋈ and π
 // carve their output rows from shared cell blocks instead of allocating
 // each row. Rows are never written after they are built, which is what
 // lets operators share them.

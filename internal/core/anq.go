@@ -9,6 +9,11 @@
 //   - Algorithm 1 over pres(Q) for DRILL-OUT (Proposition 2),
 //   - Algorithm 2 over pres(Q) plus an auxiliary instance query for
 //     DRILL-IN (Proposition 3).
+//
+// Direct evaluation (Evaluator.Answer) runs Equation 3 on the
+// dictionary-ID rows of the classifier and measure results and builds
+// Values only for the cube it returns; pres(Q), the relation the
+// rewrites read, is built only for views the registry keeps.
 package core
 
 import (

@@ -56,27 +56,29 @@ func (e *Evaluator) ResolveNumeric(id dict.ID) (float64, bool) {
 	return t.AsFloat()
 }
 
-// SigmaFilter compiles Σ into a row predicate over a relation whose
-// dimension columns hold term IDs. Values absent from the dictionary can
-// never match, so they are dropped at compile time.
-func (e *Evaluator) SigmaFilter(rel *algebra.Relation, dims []string, sigma Sigma) (func(algebra.Row) bool, error) {
-	if len(sigma) == 0 {
-		return func(algebra.Row) bool { return true }, nil
-	}
+// sigmaCol is one dimension Σ restricts, compiled against a column
+// layout: its column and the dictionary IDs of its allowed values.
+type sigmaCol struct {
+	col     int
+	allowed map[dict.ID]struct{}
+}
+
+// compileSigma compiles Σ against the columns cols, in which every
+// restricted dimension among dims must appear. Values absent from the
+// dictionary can never match, so they are dropped here. It is the one
+// compiler of Σ: SigmaFilter wraps it for Value rows, classifierIDs for
+// the classifier's ID rows.
+func (e *Evaluator) compileSigma(cols, dims []string, sigma Sigma) ([]sigmaCol, error) {
 	d := e.inst.Dict()
-	type colSet struct {
-		col     int
-		allowed map[dict.ID]struct{}
-	}
-	var sets []colSet
+	var sets []sigmaCol
 	for _, dim := range dims {
 		vals, ok := sigma[dim]
 		if !ok {
 			continue
 		}
-		col := rel.Column(dim)
+		col := slices.Index(cols, dim)
 		if col < 0 {
-			return nil, fmt.Errorf("core: Σ dimension %q not in relation %v", dim, rel.Cols)
+			return nil, fmt.Errorf("core: Σ dimension %q not in relation %v", dim, cols)
 		}
 		allowed := make(map[dict.ID]struct{}, len(vals))
 		for _, t := range vals {
@@ -84,37 +86,62 @@ func (e *Evaluator) SigmaFilter(rel *algebra.Relation, dims []string, sigma Sigm
 				allowed[id] = struct{}{}
 			}
 		}
-		sets = append(sets, colSet{col: col, allowed: allowed})
+		sets = append(sets, sigmaCol{col: col, allowed: allowed})
+	}
+	return sets, nil
+}
+
+// admits reports whether Σ admits the row whose column col holds id(col).
+func admits(sets []sigmaCol, id func(col int) dict.ID) bool {
+	for _, s := range sets {
+		if _, ok := s.allowed[id(s.col)]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// SigmaFilter compiles Σ into a row predicate over a relation whose
+// dimension columns hold term IDs.
+func (e *Evaluator) SigmaFilter(rel *algebra.Relation, dims []string, sigma Sigma) (func(algebra.Row) bool, error) {
+	if len(sigma) == 0 {
+		return func(algebra.Row) bool { return true }, nil
+	}
+	sets, err := e.compileSigma(rel.Cols, dims, sigma)
+	if err != nil {
+		return nil, err
 	}
 	return func(row algebra.Row) bool {
-		for _, s := range sets {
-			if _, ok := s.allowed[row[s.col].ID]; !ok {
-				return false
-			}
-		}
-		return true
+		return admits(sets, func(col int) dict.ID { return row[col].ID })
 	}, nil
 }
 
-// EvalClassifier evaluates the (extended) classifier c_Σ with set
-// semantics. Columns: root, d1..dn, holding term IDs. Without Σ the BGP
-// result is c_Σ as it stands; with Σ the relation, which is freshly
-// built and owned here, is filtered in place.
-func (e *Evaluator) EvalClassifier(q *Query) (*algebra.Relation, error) {
+// classifierIDs evaluates the (extended) classifier c_Σ with set
+// semantics on dictionary-ID rows. Columns: root, d1..dn. The BGP result
+// is freshly built and owned here, so Σ filters its rows in place.
+func (e *Evaluator) classifierIDs(q *Query) (*bgp.Result, error) {
 	res, err := bgp.EvalSetCtx(e.context(), e.inst, q.Classifier)
+	if err != nil || len(q.Sigma) == 0 {
+		return res, err
+	}
+	sets, err := e.compileSigma(res.Vars, q.Dims(), q.Sigma)
 	if err != nil {
 		return nil, err
 	}
-	rel := resultToRelation(res)
-	if len(q.Sigma) == 0 {
-		return rel, nil
-	}
-	pred, err := e.SigmaFilter(rel, q.Dims(), q.Sigma)
+	res.Rows = slices.DeleteFunc(res.Rows, func(row []dict.ID) bool {
+		return !admits(sets, func(col int) dict.ID { return row[col] })
+	})
+	return res, nil
+}
+
+// EvalClassifier evaluates the (extended) classifier c_Σ with set
+// semantics as a relation. Columns: root, d1..dn, holding term IDs.
+func (e *Evaluator) EvalClassifier(q *Query) (*algebra.Relation, error) {
+	res, err := e.classifierIDs(q)
 	if err != nil {
 		return nil, err
 	}
-	rel.Rows = slices.DeleteFunc(rel.Rows, func(row algebra.Row) bool { return !pred(row) })
-	return rel, nil
+	return resultToRelation(res), nil
 }
 
 // EvalMeasureKeyed evaluates the measure m with bag semantics and attaches
@@ -167,28 +194,33 @@ func (e *Evaluator) Pres(q *Query) (*algebra.Relation, error) {
 
 // Answer computes ans(Q) directly from the instance, via Equation (3):
 // ans(Q) = γ_{d1..dn,⊕(v)}(π_{x,d1..dn,v}(pres(Q))) with pres(Q) =
-// c_Σ ⋈_x m_k (Definition 4). The join and γ run as one fused pass
-// (Relation.JoinAggregate): c_Σ probes, in its own order, a table built
-// on m_k, and every match feeds its cell straight away, so pres(Q) —
-// every measure tuple repeated once per classifier row of its fact — is
-// never built. That is the feed order of Pres and AnswerFromPres, so the
-// cube equals theirs row for row and bit for bit. The bytes charged to
-// the context's cost are what Answer does build: c_Σ, m_k and the cube.
+// c_Σ ⋈_x m_k (Definition 4). It runs on the dictionary-ID rows of the
+// two BGP results (algebra.JoinAggregateIDs): Σ filters the classifier's
+// rows, each surviving row probes a table built on the measure's rows
+// by root, and every match feeds its γ cell straight away. Neither pres
+// nor m_k is built: m_k's keys only tell its tuples apart, and a match
+// is one tuple already. Values are built only for the cube's rows. The
+// feed order is that of Pres and AnswerFromPres, so the cube equals
+// theirs row for row and bit for bit. The pass is sequential;
+// algebra.GroupWorkers does not govern it.
+//
+// The bytes charged to the context's cost are what Answer builds beyond
+// the two BGP results, which bgp charges itself: the join table, with
+// each measure row's link and term and each distinct term's number, and
+// the cube.
 // Columns: d1..dn, v (the aggregate).
 func (e *Evaluator) Answer(q *Query) (*algebra.Relation, error) {
-	c, err := e.EvalClassifier(q)
+	c, err := e.classifierIDs(q)
 	if err != nil {
 		return nil, err
 	}
-	mk, err := e.EvalMeasureKeyed(q)
+	m, err := bgp.EvalBagCtx(e.context(), e.inst, q.Measure)
 	if err != nil {
 		return nil, err
 	}
-	cube, err := c.JoinAggregate(mk, []string{q.Root()}, q.Dims(), q.MeasureVar(), q.Agg, e.ResolveNumeric)
-	if err != nil {
-		return nil, err
-	}
-	obs.CostFromContext(e.context()).AddBytes(c.EstimateBytes() + mk.EstimateBytes() + cube.EstimateBytes())
+	cols := append(slices.Clone(q.Dims()), q.MeasureVar())
+	cube, built := algebra.JoinAggregateIDs(c.Rows, m.Rows, cols, q.Agg, e.ResolveNumeric)
+	obs.CostFromContext(e.context()).AddBytes(built)
 	return cube, nil
 }
 

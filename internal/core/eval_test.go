@@ -4,12 +4,14 @@ package core
 // randomized property suite.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"rdfcube/internal/agg"
 	"rdfcube/internal/algebra"
 	"rdfcube/internal/bgp"
+	"rdfcube/internal/obs"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/sparql"
 	"rdfcube/internal/store"
@@ -292,5 +294,53 @@ func renameVar(q *sparql.Query, old, new string) {
 		if tp.O.Var == old {
 			q.Patterns[i].O = sparql.V(new)
 		}
+	}
+}
+
+// TestAnswerCostBytes pins the bytes a direct Answer charges: the two
+// BGP results at 8 bytes an ID, as bgp charges them (c before Σ), plus
+// only what Answer builds beyond them — the join table with its
+// resolved measures and the cube — and no boxed copy of c_Σ or m.
+func TestAnswerCostBytes(t *testing.T) {
+	st := store.New()
+	add := func(s, p, o rdf.Term) { st.Add(rdf.NewTriple(s, p, o)) }
+	for _, f := range []string{"f1", "f2", "f3"} {
+		add(iri(f), rdf.Type, iri("Fact"))
+	}
+	add(iri("f1"), iri("dim0"), rdf.NewInt(1))
+	add(iri("f1"), iri("dim0"), rdf.NewInt(2))
+	add(iri("f2"), iri("dim0"), rdf.NewInt(1))
+	add(iri("f3"), iri("dim0"), rdf.NewInt(3))
+	add(iri("f1"), iri("did"), iri("e1"))
+	add(iri("f1"), iri("did"), iri("e2"))
+	add(iri("f2"), iri("did"), iri("e3"))
+	add(iri("e1"), iri("score"), rdf.NewInt(5))
+	add(iri("e2"), iri("score"), rdf.NewInt(7))
+	add(iri("e3"), iri("score"), rdf.NewInt(5))
+	q, err := Dice(randomQuery(t, 1, agg.Sum), map[string][]rdf.Term{"d0": {rdf.NewInt(1), rdf.NewInt(3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cost := obs.WithCost(context.Background())
+	cube, err := NewEvaluator(st).WithContext(ctx).Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cube.Rows) != 1 || cube.Rows[0][1].Num != 17 {
+		t.Fatalf("cube %v, want one cell d0=1 summing 17", cube.Rows)
+	}
+	// c: (f1,1) (f1,2) (f2,1) (f3,3) before Σ; m: (f1,5) (f1,7) (f2,5).
+	bgpBytes := int64(8 * (4*2 + 3*2))
+	// Join table: 2 roots and 2 terms, each in 8 slots of 4 bytes, 8
+	// bytes a key; a 4-byte chain head a root, a 16-byte number a term;
+	// an 8-byte next link and term number a measure row.
+	table := int64(4*(8+8) + 8*(2+2) + 4*2 + 16*2 + 8*3)
+	// Cube: relation header, two column names, one row of two cells.
+	cubeBytes := int64(64 + (16 + 2) + (16 + 1) + 1*(24+2*32))
+	if cube.EstimateBytes() != cubeBytes {
+		t.Fatalf("cube estimate %d, want %d", cube.EstimateBytes(), cubeBytes)
+	}
+	if got, want := cost.Snapshot().Bytes, bgpBytes+table+cubeBytes; got != want {
+		t.Fatalf("Answer charged %d bytes, want %d (BGP %d + join table %d + cube %d)", got, want, bgpBytes, table, cubeBytes)
 	}
 }

@@ -6,12 +6,14 @@ package core_test
 // without the server, registry or BGP evaluation of pres around them;
 // as the pres leg, Definition 4's pres(Q) = c ⋈ m_k itself for the four
 // bases, BGP evaluation of c and m_k included; and, as the direct leg,
-// Answer for the four bases: c and m_k evaluated and fused into γ(c ⋈
-// m_k) without pres, the work the pres and ans_from_pres legs do
+// Answer for the four bases: the BGP results of c and m evaluated and
+// fused into γ(c ⋈ m) on their dictionary-ID rows, without pres, m_k or
+// a Value of the inputs — the work the pres and ans_from_pres legs do
 // between them.
 //
 // TestEquation3KernelBase checks Answer on one base of the same
-// fixture, whose classifier is wide enough for γ to fan out.
+// fixture, whose classifier is wide enough for the rewrites' γ to fan
+// out; Answer's own pass is sequential.
 
 import (
 	"fmt"

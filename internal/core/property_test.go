@@ -398,15 +398,21 @@ func firstSeen(rows []algebra.Row, col int) []algebra.Value {
 }
 
 // TestEquation3Random: Answer, which runs Equation (3) as one fused pass
-// over c_Σ and m_k, is byte-identical to AnswerFromPres(Pres) — same
-// rows, same order, same float bits — for all six aggregates, Σ on one
-// and on two dimensions, multi-valued dimensions, an empty classifier
-// and an empty measure, with γ sequential and fanned out over 2 and 4
-// workers.
+// over the ID rows of c_Σ and m, is byte-identical to
+// AnswerFromPres(Pres) — same rows, same order, same float bits — for
+// all six aggregates, Σ on one and on two dimensions, a DICE whose value
+// set mixes present terms and terms absent from the dictionary,
+// multi-valued dimensions, an empty classifier and an empty measure, a
+// classifier without dimensions, and a measure whose value is the fact
+// itself, with the rewrites' γ sequential and fanned out over 2 and 4
+// workers. m(x, x) itself is not an admissible measure (a head variable
+// may not repeat), so the last leg binds v to x through a self-loop.
 func TestEquation3Random(t *testing.T) {
 	defer func() { algebra.GroupWorkers = 0 }()
 	funcs := []agg.Func{agg.Count, agg.Sum, agg.Avg, agg.Min, agg.Max, agg.CountDistinct}
 	absent := sparql.MustParseDatalog("m(x, v) :- x rdf:type :Fact, x :did e, e :absent v", exPrefixes())
+	noDims := sparql.MustParseDatalog("c(x) :- x rdf:type :Fact", exPrefixes())
+	itself := sparql.MustParseDatalog("m(x, v) :- x rdf:type :Fact, x :self v", exPrefixes())
 	for _, workers := range []int{1, 2, 4} {
 		algebra.GroupWorkers = workers
 		rng := rand.New(rand.NewSource(505))
@@ -414,7 +420,12 @@ func TestEquation3Random(t *testing.T) {
 		for trial := 0; trial < 18; trial++ {
 			f := funcs[trial%len(funcs)]
 			nDims := 1 + rng.Intn(3)
-			st := floatInstance(rng, 20+rng.Intn(40), nDims)
+			facts := 20 + rng.Intn(40)
+			st := floatInstance(rng, facts, nDims)
+			for x := 0; x < facts; x += 3 {
+				fact := iri(fmt.Sprintf("fact%d", x))
+				st.Add(rdf.NewTriple(fact, iri("self"), fact))
+			}
 			q := randomQuery(t, nDims, f)
 			label := fmt.Sprintf("workers %d trial %d %s", workers, trial, f.Name())
 			vals := func() []rdf.Term {
@@ -433,6 +444,10 @@ func TestEquation3Random(t *testing.T) {
 			}
 			add(Slice(q, "d0", rdf.NewInt(99))) // no fact has it: c_Σ is empty
 			add(New(q.Classifier, absent, f))   // no event has :absent: m_k is empty
+			// 1 and 5 are in the dictionary, 1000 and :nowhere are not.
+			add(Dice(q, map[string][]rdf.Term{"d0": {rdf.NewInt(1), rdf.NewInt(1000), iri("nowhere"), rdf.NewInt(5)}}))
+			add(New(noDims, q.Measure, f))
+			add(New(q.Classifier, itself, f))
 			for i, v := range variants {
 				if checkEquation3(t, fmt.Sprintf("%s variant %d Σ %v", label, i, v.Sigma), st, v) {
 					reordered++

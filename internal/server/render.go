@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"rdfcube/internal/algebra"
 	"rdfcube/internal/dict"
@@ -136,10 +137,60 @@ func appendValue(dst []byte, terms termMemo, d *dict.Dictionary, v algebra.Value
 }
 
 // appendJSONString appends s as encoding/json writes it, HTML-safe
-// escaping included.
+// escaping included, without allocating: ", \ and the control bytes
+// escaped (\b \f \n \r \t by name, the others as \u00XX), <, > and &
+// as \u003c, \u003e and \u0026, U+2028 and U+2029 as \u2028 and
+// \u2029, and each byte of invalid UTF-8 as \ufffd.
 func appendJSONString(dst []byte, s string) []byte {
-	b, _ := json.Marshal(s) // a string always marshals
-	return append(dst, b...)
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			i++
+			start = i
+			continue
+		}
+		if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // appendExplain reopens a body appendQueryBody finished and adds the

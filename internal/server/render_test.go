@@ -248,6 +248,65 @@ func benchCube(d *dict.Dictionary, n int) *algebra.Relation {
 	return cube
 }
 
+// jsonStringCases are strings whose encoding/json rendering escapes
+// something: every byte class appendJSONString handles, alone and
+// between safe runs.
+var jsonStringCases = []string{
+	"",
+	"plain ascii",
+	"<http://example.org/a?b=1&c=2>",
+	`"quoted" and \backslash\`,
+	"\b\f\n\r\t",
+	"\x00\x01\x1f \x7f",
+	"<>&",
+	"\u2028 line \u2029 para \u202f",
+	"héllo wörld ✓ 𝄞",
+	"\xff",
+	"a\xc3",
+	"\xe2\x80",
+	"\xed\xa0\x80 surrogate",
+	"ok\xf0\x9f\x98",
+	`"literal"@en`,
+	`"42"^^<http://www.w3.org/2001/XMLSchema#integer>`,
+}
+
+// TestAppendJSONString: appendJSONString writes each string as
+// json.Marshal does, appended after whatever dst already holds.
+func TestAppendJSONString(t *testing.T) {
+	for _, s := range jsonStringCases {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%q: got %s, want %s", s, got, want)
+		}
+		if got := appendJSONString([]byte("x,"), s); !bytes.Equal(got, append([]byte("x,"), want...)) {
+			t.Fatalf("%q after a prefix: got %s", s, got)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { appendJSONString(make([]byte, 0, 64), "<a & \"b\">") }); n > 1 {
+		t.Fatalf("%v allocations per string into a fresh buffer, want at most its one", n)
+	}
+}
+
+// FuzzAppendJSONString: for any string, appendJSONString writes what
+// json.Marshal writes.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range jsonStringCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%q: got %s, want %s", s, got, want)
+		}
+	})
+}
+
 // BenchmarkQueryBody renders a 3,000-row cube over three IRI dimensions
 // into a reused buffer, as /query does: sorted is a registered cube
 // (one IsSorted pass), unsorted one a γ left in first-seen order (sorted
